@@ -2,7 +2,10 @@
 
 Times the refinement-dominant workloads (UNI and Gow+Col, the datasets
 where ``pair.distance`` evaluation dominates query latency) through
-both refinement kernels on the same warmed network, writes
+the product's vectorized pair kernel and through the per-pair scalar
+oracle (``tests.oracles.ScalarRefinementProcessor``, which shares the
+product's traversal and swaps only the pair evaluation) on the same
+warmed network, writes
 ``results/BENCH_pair_kernel.json`` — scalar vs. vector CPU time and the
 speedup ratio — and proves the guard closes: the vectorized kernel must
 hold at least ``MIN_SPEEDUP``x over the scalar reference, both here and
@@ -31,6 +34,7 @@ from benchmarks.conftest import (
     RESULTS_DIR,
     write_result,
 )
+from tests.oracles import ScalarRefinementProcessor
 
 BASELINE_PATH = RESULTS_DIR / "BENCH_pair_kernel.json"
 CHECKER_PATH = (
@@ -78,10 +82,11 @@ def _run_dataset(name):
         for user in sample_query_users(network, BENCH_QUERIES, seed=BENCH_SEED)
     ]
     kernels = {}
-    for kernel in ("scalar", "vector"):
-        processor = GPSSNQueryProcessor(
-            network, seed=BENCH_SEED, refinement_kernel=kernel
-        )
+    for kernel, cls in (
+        ("scalar", ScalarRefinementProcessor),
+        ("vector", GPSSNQueryProcessor),
+    ):
+        processor = cls(network, seed=BENCH_SEED)
         kernels[kernel] = _time_workload(processor, queries)
     scalar_sec, scalar_answers = kernels["scalar"]
     vector_sec, vector_answers = kernels["vector"]

@@ -37,8 +37,8 @@ Three independent gates, all blocking in CI:
   machine-stable.
 * **snapshot scale** — validates a ``BENCH_snapshot_scale.json``
   (``--snapshot-scale``): memmap-attaching a frozen arena must stay at
-  least ``min_speedup`` times faster than the document-mode worker
-  rebuild at the largest benched scale, attached workers must stay
+  least ``min_speedup`` times faster than a worker's full rebuild
+  without an arena at the largest benched scale, attached workers must stay
   within the committed incremental-RSS budget, and attached answers
   must have matched the in-memory processor at every scale. Attach and
   rebuild ran in the same process, so the ratio is machine-stable.

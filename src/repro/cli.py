@@ -107,7 +107,7 @@ def _load_network(path: str):
 
 
 def _frozen_snapshot(path: str):
-    """A frozen-mode :class:`NetworkSnapshot`, or :data:`EXIT_INPUT`."""
+    """A :class:`NetworkSnapshot` over an existing arena, or :data:`EXIT_INPUT`."""
     from .service.executor import NetworkSnapshot
 
     try:

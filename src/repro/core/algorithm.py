@@ -48,7 +48,6 @@ from ..index.road_index import AugmentedPOI, RoadIndex, RoadIndexNode
 from ..index.social_index import AugmentedUser, SocialIndex, SocialIndexNode
 from ..network import SpatialSocialNetwork
 from ..obs.registry import Recorder
-from ..roadnet.shortest_path import position_distance_from_map
 from .metrics import MetricScorer
 from .index_pruning import (
     lb_dist_sn_social_node,
@@ -62,9 +61,7 @@ from .pruning import matching_score_prunable, social_distance_prunable
 from .query import GPSSNAnswer, GPSSNQuery, PruningCounters, QueryStatistics
 from .refinement import (
     PairKernel,
-    best_region_for_seed,
     enumerate_connected_groups,
-    group_distance_maps,
     sample_connected_groups,
 )
 from .scores import match_score
@@ -95,6 +92,86 @@ class PruningToggles:
         self.road_distance = road_distance
 
 
+class RefinementSeeds:
+    """The candidate seeds of one refinement, nearest to u_q first.
+
+    ``ids`` are sorted by ``(dist_RN(u_q, o), o)``; ``dist`` holds those
+    distances as an array, the Lemma 5 / Eq. 6 early-termination key.
+    Every seed's 2r-ball is built once per query (and cached across
+    queries under ``(seed, radius)``); ``full_cover`` stacks their
+    full-ball coverage so a group's ball gate is a single matmul.
+    """
+
+    __slots__ = ("kernel", "ids", "dist", "balls", "dense", "full_cover")
+
+    def __init__(
+        self,
+        kernel: PairKernel,
+        region,
+        ids: List[int],
+        seed_dist: Dict[int, float],
+        radius: float,
+    ) -> None:
+        n = len(ids)
+        self.kernel = kernel
+        self.ids = ids
+        self.dist = np.fromiter(
+            (seed_dist[s] for s in ids), dtype=np.float64, count=n
+        )
+        self.balls = [
+            kernel.ball(s, region(s, radius), cache_key=(s, radius))
+            for s in ids
+        ]
+        self.dense = np.fromiter(
+            (b.seed_dense for b in self.balls), dtype=np.int64, count=n
+        )
+        self.full_cover = (
+            np.stack([b.full_cover_f8 for b in self.balls])
+            if self.balls else None
+        )
+
+
+class TopPairs:
+    """The running top-k distinct ``(S, R)`` pairs of one refinement.
+
+    ``best`` holds sorted ``(value, users, pois)`` key tuples; ``kth``
+    is the k-th value (``inf`` until k pairs are known), the pruning
+    threshold: any region of a seed farther from u_q than it cannot
+    enter the top-k, because the seed belongs to its region.
+    """
+
+    __slots__ = ("k", "best", "seen", "kth")
+
+    def __init__(self, k: int) -> None:
+        self.k = k
+        self.best: List[Tuple[float, Tuple[int, ...], Tuple[int, ...]]] = []
+        self.seen: Set[Tuple[frozenset, frozenset]] = set()
+        self.kth = math.inf
+
+    def offer(self, value: float, group: frozenset, pois: frozenset) -> bool:
+        """O(log k + k) sorted insert of a new pair beating ``kth``;
+        returns whether it entered (and so may have moved ``kth``)."""
+        if value >= self.kth or (group, pois) in self.seen:
+            return False
+        best = self.best
+        self.seen.add((group, pois))
+        insort(best, (value, tuple(sorted(group)), tuple(sorted(pois))))
+        if len(best) > self.k:
+            dropped = best.pop()
+            self.seen.discard((frozenset(dropped[1]), frozenset(dropped[2])))
+        self.kth = best[-1][0] if len(best) >= self.k else math.inf
+        return True
+
+    def answers(self) -> List[GPSSNAnswer]:
+        return [
+            GPSSNAnswer(
+                users=frozenset(users), pois=frozenset(pois),
+                max_distance=value,
+            )
+            for value, users, pois in self.best
+        ]
+
+
 class GPSSNQueryProcessor:
     """Index-backed GP-SSN query processor (the paper's main algorithm).
 
@@ -117,18 +194,8 @@ class GPSSNQueryProcessor:
         toggles: Optional[PruningToggles] = None,
         recorder: Optional[Recorder] = None,
         distance_engine: Optional[str] = None,
-        refinement_kernel: str = "vector",
     ) -> None:
         self.toggles = toggles or PruningToggles()
-        if refinement_kernel not in ("vector", "scalar"):
-            raise InvalidParameterError(
-                f"unknown refinement kernel {refinement_kernel!r}; "
-                "expected 'vector' or 'scalar'"
-            )
-        # "vector" evaluates (group, seed) pairs through the batched
-        # numpy PairKernel; "scalar" keeps the per-pair reference path
-        # (best_region_for_seed) the kernel is validated against.
-        self.refinement_kernel = refinement_kernel
         self._kernel: Optional[PairKernel] = None
         # Engine selection happens before index construction so the
         # offline region sweeps already run on the chosen kernel; None
@@ -164,7 +231,6 @@ class GPSSNQueryProcessor:
             r_min=r_min, r_max=r_max,
             max_entries=max_entries, leaf_size=leaf_size, seed=seed,
             distance_engine=distance_engine,
-            refinement_kernel=refinement_kernel,
         )
 
     def _pair_kernel(self) -> PairKernel:
@@ -397,36 +463,20 @@ class GPSSNQueryProcessor:
                     self.recorder.explain
                     if self.recorder.explain.active else None
                 )
-                network = self.network
-                social = network.social
                 uq_id = query.query_user
                 allowed = {au.user_id for au in s_cand} | {uq_id}
                 rng = np.random.default_rng(seed)
                 groups = sample_connected_groups(
-                    network, uq_id, query.tau, query.gamma, rng, num_samples,
-                    allowed=allowed, score_fn=scorer.score,
+                    self.network, uq_id, query.tau, query.gamma, rng,
+                    num_samples, allowed=allowed, score_fn=scorer.score,
                 )
 
-                use_vector = self.refinement_kernel == "vector"
-                kernel = self._pair_kernel() if use_vector else None
-                uq_user = social.user(uq_id)
-                if use_vector:
-                    uq_row = kernel.member_row(uq_id)
-                    seed_dist = {
-                        ap.poi_id: float(uq_row[kernel.poi_index[ap.poi_id]])
-                        for ap in r_cand
-                    }
-                else:
-                    uq_map = network.distances.distances_from(
-                        ("user", uq_id), uq_user.home
-                    )
-                    seed_dist = {
-                        ap.poi_id: position_distance_from_map(
-                            network.road, uq_map, ap.poi.position,
-                            uq_user.home,
-                        )
-                        for ap in r_cand
-                    }
+                kernel = self._pair_kernel()
+                uq_row = kernel.member_row(uq_id)
+                seed_dist = {
+                    ap.poi_id: float(uq_row[kernel.poi_index[ap.poi_id]])
+                    for ap in r_cand
+                }
                 seeds = sorted(
                     seed_dist, key=lambda pid: (seed_dist[pid], pid)
                 )
@@ -435,13 +485,7 @@ class GPSSNQueryProcessor:
                 best_pair = None
                 for group in groups:
                     stats.groups_refined += 1
-                    if use_vector:
-                        state = kernel.group_state(group, query.theta)
-                    else:
-                        dist_maps = group_distance_maps(network, group)
-                        group_interests = [
-                            social.user(uid).interests for uid in group
-                        ]
+                    state = kernel.group_state(group, query.theta)
                     if ex is not None:
                         ex.visit("refine.pairs", len(seeds))
                     for seed_rank, poi_seed in enumerate(seeds):
@@ -459,19 +503,13 @@ class GPSSNQueryProcessor:
                         region_ids = self.road_index.region(
                             poi_seed, query.radius
                         )
-                        if use_vector:
-                            result = kernel.best_region(
-                                kernel.ball(
-                                    poi_seed, region_ids,
-                                    cache_key=(poi_seed, query.radius),
-                                ),
-                                state,
-                            )
-                        else:
-                            result = best_region_for_seed(
-                                network, group_interests, dist_maps,
-                                poi_seed, region_ids, query.theta,
-                            )
+                        result = kernel.best_region(
+                            kernel.ball(
+                                poi_seed, region_ids,
+                                cache_key=(poi_seed, query.radius),
+                            ),
+                            state,
+                        )
                         if result is None:
                             continue
                         pois, value = result
@@ -529,8 +567,7 @@ class GPSSNQueryProcessor:
         # among the k best; the best-so-far bound delta only witnesses
         # the single best pair, so delta-based pruning is suspended.
         use_delta = self.toggles.road_distance and allow_delta_pruning
-        use_vector = self.refinement_kernel == "vector"
-        kernel = self._pair_kernel() if use_vector else None
+        kernel = self._pair_kernel()
         social = self.network.social
         if ex is not None:
             ex.visit("traverse.social", social.num_users)
@@ -563,74 +600,54 @@ class GPSSNQueryProcessor:
                 ubs.append(worst)
             return ubs
 
-        def s_side_floor_vectors() -> List[np.ndarray]:
-            """One per-entry interest floor for every S_cand element.
+        def s_side_floor_matrix() -> Optional[np.ndarray]:
+            """Stacked (entries x topics) interest floors of S_cand.
 
-            For an index node the floor is the node's per-topic lower
-            bound (``e_S.lb_w``, Eq. 9), which under-estimates the
-            matching score of every user beneath it; for a user it is the
-            exact interest vector. Feeding the Eq. 18 gate per entry
-            (instead of one global elementwise min) keeps the bound tight
-            once the traversal reaches user level.
+            One row per S_cand element. For an index node the floor is
+            the node's per-topic lower bound (``e_S.lb_w``, Eq. 9), which
+            under-estimates the matching score of every user beneath it;
+            for a user it is the exact interest vector. Feeding the Eq. 18
+            gate per entry (instead of one global elementwise min) keeps
+            the bound tight once the traversal reaches user level.
             """
-            vectors: List[np.ndarray] = []
-            for entry in s_cand:
-                if isinstance(entry, SocialIndexNode):
-                    vectors.append(np.asarray(entry.interest_mbr.low))
-                else:
-                    vectors.append(entry.user.interests)
-            return vectors
-
-        def floor_matrix_of(
-            floor_vectors: List[np.ndarray],
-        ) -> Optional[np.ndarray]:
-            """Stacked (entries x topics) image of the interest floors,
-            built per level for the vectorized Eq. 18 gate."""
-            if not use_vector or not floor_vectors:
+            if not s_cand:
                 return None
-            return np.stack(
-                [
-                    np.asarray(vec, dtype=np.float64)
-                    for vec in floor_vectors
-                ]
-            )
+            return np.stack([
+                np.asarray(
+                    entry.interest_mbr.low
+                    if isinstance(entry, SocialIndexNode)
+                    else entry.user.interests,
+                    dtype=np.float64,
+                )
+                for entry in s_cand
+            ])
 
         def witness_feasible(
-            ap: AugmentedPOI,
-            floor_vectors: List[np.ndarray],
-            floor_matrix: Optional[np.ndarray] = None,
+            ap: AugmentedPOI, floor_matrix: Optional[np.ndarray]
         ) -> bool:
             """Eq. 18 gate: could ``ball(ap, r)`` theta-match every user
             that may remain in S? Checked on the seed's *subset* keywords
             (a valid lower bound of the region's coverage) against every
-            surviving S_cand entry's interest floor."""
+            surviving S_cand entry's interest floor, all entries at once:
+            summing the keyword columns in ascending topic order
+            reproduces match_score's running sum term-for-term."""
             nonlocal witness_checks
             witness_checks += 1
-            if not floor_vectors:
+            if floor_matrix is None:
                 return False
-            if floor_matrix is not None:
-                # All entries at once: summing the keyword columns in
-                # ascending topic order reproduces match_score's running
-                # sum term-for-term, so the >= theta decisions match the
-                # scalar gate exactly.
-                scores: Optional[np.ndarray] = None
-                for f in sorted(ap.sub_keywords):
-                    col = floor_matrix[:, f]
-                    scores = col if scores is None else scores + col
-                if scores is None:
-                    return 0.0 >= query.theta
-                return bool((scores >= query.theta).all())
-            return all(
-                match_score(vec, ap.sub_keywords) >= query.theta
-                for vec in floor_vectors
-            )
+            scores: Optional[np.ndarray] = None
+            for f in sorted(ap.sub_keywords):
+                col = floor_matrix[:, f]
+                scores = col if scores is None else scores + col
+            if scores is None:
+                return 0.0 >= query.theta
+            return bool((scores >= query.theta).all())
 
         def process_road_entry(
             node: RoadIndexNode,
             out_heap: Optional[List[Tuple[float, int, RoadIndexNode]]],
             s_ubs: Sequence[float],
-            floor_vectors: List[np.ndarray],
-            floor_matrix: Optional[np.ndarray] = None,
+            floor_matrix: Optional[np.ndarray],
         ) -> None:
             """Lines 15-25: expand one popped I_R node."""
             nonlocal delta, tick
@@ -664,7 +681,7 @@ class GPSSNQueryProcessor:
                         continue
                     # lines 19-20: keep the POI, tighten delta
                     r_cand.append(ap)
-                    if witness_feasible(ap, floor_vectors, floor_matrix):
+                    if witness_feasible(ap, floor_matrix):
                         ub = ub_maxdist_road_node(
                             s_ubs, ap.pivot_dists, query.radius
                         )
@@ -793,8 +810,7 @@ class GPSSNQueryProcessor:
             # bounds — Lemmas 1/6 (matching), 5/7 (distance), Eq. 18 gate
             with rec.span("traverse.road_sweep"):
                 s_ubs = s_side_pivot_ubs()
-                floor = s_side_floor_vectors()
-                floor_mat = floor_matrix_of(floor)
+                floor = s_side_floor_matrix()
                 next_heap: List[Tuple[float, int, RoadIndexNode]] = []
                 while heap:
                     key, _t, node = heapq.heappop(heap)
@@ -811,14 +827,13 @@ class GPSSNQueryProcessor:
                             )
                         heap.clear()
                         break
-                    process_road_entry(node, next_heap, s_ubs, floor, floor_mat)
+                    process_road_entry(node, next_heap, s_ubs, floor)
                 heap = next_heap  # line 26
 
         # lines 27-28: I_R may be deeper than I_S; drain it best-first
         with rec.span("traverse.road_drain"):
             s_ubs = s_side_pivot_ubs()
-            floor = s_side_floor_vectors()
-            floor_mat = floor_matrix_of(floor)
+            floor = s_side_floor_matrix()
             while heap:
                 key, _t, node = heapq.heappop(heap)
                 if use_delta and key > delta:
@@ -834,7 +849,7 @@ class GPSSNQueryProcessor:
                         )
                     heap.clear()
                     break
-                process_road_entry(node, None, s_ubs, floor, floor_mat)
+                process_road_entry(node, None, s_ubs, floor)
 
         users = [e for e in s_cand if isinstance(e, AugmentedUser)]
 
@@ -848,13 +863,12 @@ class GPSSNQueryProcessor:
         if use_delta and users and r_cand:
             with rec.span("traverse.witness_filter"):
                 s_ubs = s_side_pivot_ubs()
-                floor = s_side_floor_vectors()
-                floor_mat = floor_matrix_of(floor)
+                floor = s_side_floor_matrix()
                 network = self.network
                 witness = None
                 witness_key = math.inf
                 for ap in r_cand:
-                    if witness_feasible(ap, floor, floor_mat):
+                    if witness_feasible(ap, floor):
                         ub = ub_maxdist_road_node(
                             s_ubs, ap.pivot_dists, query.radius
                         )
@@ -863,77 +877,43 @@ class GPSSNQueryProcessor:
                             witness = ap
                 best_ub = delta
                 if witness is not None:
-                    if use_vector:
-                        # One dense gather over every candidate user's
-                        # home replaces the per-user map lookups.
-                        dense_w = network.distances.dense_distances_from(
-                            ("poi", witness.poi_id), witness.poi.position
-                        )
-                        positions, user_index = kernel.user_positions()
-                        user_row = positions.distances_from_dense(
-                            network.road, dense_w, witness.poi.position
-                        )
-                        user_idx = np.fromiter(
-                            (user_index[au.user_id] for au in users),
-                            dtype=np.int64, count=len(users),
-                        )
-                        exact_user_max = float(user_row[user_idx].max())
-                    else:
-                        w_map = network.distances.distances_from(
-                            ("poi", witness.poi_id), witness.poi.position
-                        )
-                        exact_user_max = max(
-                            position_distance_from_map(
-                                network.road, w_map, au.user.home,
-                                witness.poi.position
-                            )
-                            for au in users
-                        )
+                    # One dense gather over every candidate user's home.
+                    dense_w = network.distances.dense_distances_from(
+                        ("poi", witness.poi_id), witness.poi.position
+                    )
+                    positions, user_index = kernel.user_positions()
+                    user_row = positions.distances_from_dense(
+                        network.road, dense_w, witness.poi.position
+                    )
+                    user_idx = np.fromiter(
+                        (user_index[au.user_id] for au in users),
+                        dtype=np.int64, count=len(users),
+                    )
+                    exact_user_max = float(user_row[user_idx].max())
                     # Eq. 5: the second term max dist(o_i, o_j) over the
                     # witness region is at most the region radius r.
                     best_ub = min(best_ub, exact_user_max + query.radius)
                 if not math.isinf(best_ub):
-                    if use_vector:
-                        uq_row = kernel.member_row(query.query_user)
-                        poi_idx = np.fromiter(
-                            (kernel.poi_index[ap.poi_id] for ap in r_cand),
-                            dtype=np.int64, count=len(r_cand),
-                        )
-                        d_arr = uq_row[poi_idx]
-                        prune_mask = d_arr > best_ub
-                        n_pruned = int(prune_mask.sum())
-                        if n_pruned:
-                            counters.road_object_pruned += n_pruned
-                            counters.road_pruned_by_distance += n_pruned
-                            if ex is not None:
-                                ex.prune_batch(
-                                    "traverse.road", "obj.poi_witness",
-                                    d_arr[prune_mask] - best_ub,
-                                )
-                        r_cand = [
-                            ap for ap, pruned in zip(r_cand, prune_mask)
-                            if not pruned
-                        ]
-                    else:
-                        uq_map = network.distances.distances_from(
-                            ("user", query.query_user), uq.home
-                        )
-                        kept = []
-                        for ap in r_cand:
-                            d_uq = position_distance_from_map(
-                                network.road, uq_map, ap.poi.position, uq.home
+                    uq_row = kernel.member_row(query.query_user)
+                    poi_idx = np.fromiter(
+                        (kernel.poi_index[ap.poi_id] for ap in r_cand),
+                        dtype=np.int64, count=len(r_cand),
+                    )
+                    d_arr = uq_row[poi_idx]
+                    prune_mask = d_arr > best_ub
+                    n_pruned = int(prune_mask.sum())
+                    if n_pruned:
+                        counters.road_object_pruned += n_pruned
+                        counters.road_pruned_by_distance += n_pruned
+                        if ex is not None:
+                            ex.prune_batch(
+                                "traverse.road", "obj.poi_witness",
+                                d_arr[prune_mask] - best_ub,
                             )
-                            if d_uq > best_ub:
-                                counters.road_object_pruned += 1
-                                counters.road_pruned_by_distance += 1
-                                if ex is not None:
-                                    ex.prune(
-                                        "traverse.road", "obj.poi_witness",
-                                        margin=d_uq - best_ub,
-                                    )
-                            else:
-                                kept.append(ap)
-                        r_cand = kept
+                    r_cand = [
+                        ap for ap, pruned in zip(r_cand, prune_mask)
+                        if not pruned
+                    ]
         rec.metrics.inc("traverse.witness_checks", witness_checks)
         if ex is not None:
             ex.survive("traverse.social", len(users))
@@ -1017,31 +997,18 @@ class GPSSNQueryProcessor:
         if len(allowed) < query.tau:
             return []
 
-        use_vector = self.refinement_kernel == "vector"
-        kernel = self._pair_kernel() if use_vector else None
+        kernel = self._pair_kernel()
 
         # line 30: exact matching/distance re-check of candidate POIs.
         with rec.span("refine.seed_filter"):
             if ex is not None:
                 ex.visit("refine.seeds", len(r_cand))
             uq_user = social.user(uq_id)
-            if use_vector:
-                # One cached distance row covers every candidate seed
-                # (bitwise-equal to the per-POI map lookups below).
-                uq_row = kernel.member_row(uq_id)
-                poi_index = kernel.poi_index
-            else:
-                uq_map = network.distances.distances_from(
-                    ("user", uq_id), uq_user.home
-                )
+            # One cached distance row covers every candidate seed.
+            uq_row = kernel.member_row(uq_id)
+            poi_index = kernel.poi_index
             seed_dist: Dict[int, float] = {}
             for ap in r_cand:
-                if use_vector:
-                    d = float(uq_row[poi_index[ap.poi_id]])
-                else:
-                    d = position_distance_from_map(
-                        network.road, uq_map, ap.poi.position, uq_user.home
-                    )
                 # Exact Lemma-1 check on the seed's true superset keywords.
                 ms = match_score(uq_user.interests, ap.sup_keywords)
                 if ms < query.theta:
@@ -1053,173 +1020,101 @@ class GPSSNQueryProcessor:
                             margin=query.theta - ms,
                         )
                     continue
-                seed_dist[ap.poi_id] = d
+                seed_dist[ap.poi_id] = float(uq_row[poi_index[ap.poi_id]])
             # (distance, id) key: distance ties must not break on traversal
             # order, which depends on index structure and mutation history.
-            seeds = sorted(seed_dist, key=lambda pid: (seed_dist[pid], pid))
+            seed_ids = sorted(seed_dist, key=lambda pid: (seed_dist[pid], pid))
             if ex is not None:
-                ex.survive("refine.seeds", len(seeds))
+                ex.survive("refine.seeds", len(seed_ids))
 
         # line 31: enumerate groups, evaluate seeds with early termination.
-        # `best` holds the running top-k distinct (S, R) pairs as sorted
-        # (value, users, pois) key tuples; the k-th value is the pruning
-        # threshold (any region of a seed farther from u_q than it cannot
-        # enter the top-k, because the seed belongs to its region).
-        best: List[Tuple[float, Tuple[int, ...], Tuple[int, ...]]] = []
-        seen_pairs: Set[Tuple[frozenset, frozenset]] = set()
-        n_seeds = len(seeds)
-        kth = math.inf
-
-        def accept(value: float, frozen_group: frozenset, pois: frozenset) -> None:
-            """O(log k + k) sorted insert; maintains ``kth`` in place."""
-            nonlocal kth
-            seen_pairs.add((frozen_group, pois))
-            insort(
-                best, (value, tuple(sorted(frozen_group)), tuple(sorted(pois)))
-            )
-            if len(best) > k:
-                dropped = best.pop()
-                seen_pairs.discard(
-                    (frozenset(dropped[1]), frozenset(dropped[2]))
-                )
-            kth = best[-1][0] if len(best) >= k else math.inf
-
+        top = TopPairs(k)
         with rec.span("refine.enumerate"):
             groups = enumerate_connected_groups(
                 network, uq_id, query.tau, query.gamma,
                 allowed=allowed, limit=max_groups, score_fn=scorer.score,
                 explain=ex,
             )
-            if use_vector:
-                seed_dist_arr = np.fromiter(
-                    (seed_dist[s] for s in seeds),
-                    dtype=np.float64, count=n_seeds,
-                )
-                radius = query.radius
-                theta = query.theta
-                region = self.road_index.region
-                counters = stats.pruning
-                # Every seed's ball is built once per query (and cached
-                # across queries under (seed, radius)); the stacked
-                # full-cover matrix drives the per-group ball gate as a
-                # single matmul over all seeds.
-                balls = [
-                    kernel.ball(s, region(s, radius), cache_key=(s, radius))
-                    for s in seeds
-                ]
-                seed_dense_arr = np.fromiter(
-                    (b.seed_dense for b in balls),
-                    dtype=np.int64, count=n_seeds,
-                )
-                full_cover = (
-                    np.stack([b.full_cover_f8 for b in balls])
-                    if balls else None
-                )
-                for group in groups:
-                    stats.groups_refined += 1
-                    state = kernel.group_state(group, theta)
-                    frozen_group = state.frozen
-                    if ex is not None:
-                        ex.visit("refine.pairs", n_seeds)
-                    if not n_seeds:
-                        continue
-                    # Per-group, all seeds at once: the seed-alone gate
-                    # and the exact pair value lower bound (the seed is
-                    # always in its region, so no region of seed o can
-                    # score below max_{u in S} dist_RN(u, o)), plus the
-                    # full-ball feasibility gate as one matmul.
-                    seed_ok = state.seed_feasible[seed_dense_arr].tolist()
-                    seed_lb = state.gmax[seed_dense_arr].tolist()
-                    ball_ok = (
-                        (full_cover @ state.interests.T).min(axis=1)
-                        >= theta
-                    ).tolist()
-                    # Lemma 5 / Eq. 6 against the sorted seed-distance
-                    # array: seeds past `limit` all fail dist < kth, so
-                    # the scalar loop's break point is one searchsorted.
-                    i = 0
-                    limit = int(
-                        np.searchsorted(seed_dist_arr, kth, side="left")
-                    )
-                    while i < limit:
-                        if ex is not None:
-                            ex.survive("refine.pairs")
-                        counters.candidate_pairs_examined += 1
-                        idx = i
-                        i += 1
-                        lb = seed_lb[idx]
-                        if seed_ok[idx]:
-                            # Seed alone suffices: R = {o}, value known.
-                            if lb >= kth:
-                                continue
-                            pois = frozenset((seeds[idx],))
-                            value = lb
-                        else:
-                            # Infeasible ball, or value provably >= kth:
-                            # the scan cannot produce a top-k entrant.
-                            if not ball_ok[idx] or lb >= kth:
-                                continue
-                            result = kernel.best_region(
-                                balls[idx], state, skip_gates=True
-                            )
-                            if result is None:
-                                continue
-                            pois, value = result
-                        if (frozen_group, pois) in seen_pairs or value >= kth:
-                            continue
-                        accept(value, frozen_group, pois)
-                        limit = int(
-                            np.searchsorted(seed_dist_arr, kth, side="left")
-                        )
-                    if ex is not None and i < n_seeds:
-                        ex.prune(
-                            "refine.pairs", "pair.distance",
-                            n_seeds - i,
-                            float(seed_dist_arr[i]) - kth,
-                        )
-            else:
-                for group in groups:
-                    stats.groups_refined += 1
-                    dist_maps = group_distance_maps(network, group)
-                    group_interests = [
-                        social.user(uid).interests for uid in group
-                    ]
-                    frozen_group = frozenset(group)
-                    if ex is not None:
-                        ex.visit("refine.pairs", n_seeds)
-                    for seed_rank, seed in enumerate(seeds):
-                        if seed_dist[seed] >= kth:
-                            if ex is not None:
-                                ex.prune(
-                                    "refine.pairs", "pair.distance",
-                                    n_seeds - seed_rank,
-                                    seed_dist[seed] - kth,
-                                )
-                            break
-                        if ex is not None:
-                            ex.survive("refine.pairs")
-                        stats.pruning.candidate_pairs_examined += 1
-                        region_ids = self.road_index.region(
-                            seed, query.radius
-                        )
-                        result = best_region_for_seed(
-                            network, group_interests, dist_maps,
-                            seed, region_ids, query.theta,
-                        )
-                        if result is None:
-                            continue
-                        pois, value = result
-                        if (frozen_group, pois) in seen_pairs or value >= kth:
-                            continue
-                        accept(value, frozen_group, pois)
-
-        return [
-            GPSSNAnswer(
-                users=frozenset(users), pois=frozenset(pois),
-                max_distance=value,
+            seeds = RefinementSeeds(
+                kernel, self.road_index.region, seed_ids, seed_dist,
+                query.radius,
             )
-            for value, users, pois in best
-        ]
+            for group in groups:
+                stats.groups_refined += 1
+                if ex is not None:
+                    ex.visit("refine.pairs", len(seed_ids))
+                self._refine_group(group, seeds, query, stats.pruning, top, ex)
+        return top.answers()
+
+    def _refine_group(
+        self,
+        group: frozenset,
+        seeds: RefinementSeeds,
+        query: GPSSNQuery,
+        counters: PruningCounters,
+        top: TopPairs,
+        ex,
+    ) -> None:
+        """Line 31 for one group: its (S, seed) pairs, nearest seed first.
+
+        Offers every feasible pair's best region to ``top`` and stops at
+        the first seed farther from u_q than the running k-th best
+        (Lemma 5 / Eq. 6: the seed belongs to its region, so no region
+        of that seed can score below ``dist_RN(u_q, seed)``). This is
+        the one pair-evaluation step; tests substitute the per-pair
+        scalar reference here.
+        """
+        kernel = seeds.kernel
+        theta = query.theta
+        state = kernel.group_state(group, theta)
+        n_seeds = len(seeds.ids)
+        if not n_seeds:
+            return
+        # All seeds at once: the seed-alone gate and the exact pair value
+        # lower bound (no region of seed o can score below
+        # max_{u in S} dist_RN(u, o)), plus the full-ball feasibility
+        # gate as one matmul.
+        seed_ok = state.seed_feasible[seeds.dense].tolist()
+        seed_lb = state.gmax[seeds.dense].tolist()
+        ball_ok = (
+            (seeds.full_cover @ state.interests.T).min(axis=1) >= theta
+        ).tolist()
+        dist = seeds.dist
+        # Seeds past `limit` all fail dist < kth: the early-termination
+        # point is one searchsorted over the sorted seed distances.
+        i = 0
+        limit = int(np.searchsorted(dist, top.kth, side="left"))
+        while i < limit:
+            if ex is not None:
+                ex.survive("refine.pairs")
+            counters.candidate_pairs_examined += 1
+            idx = i
+            i += 1
+            lb = seed_lb[idx]
+            if seed_ok[idx]:
+                # Seed alone suffices: R = {o}, value known.
+                if lb >= top.kth:
+                    continue
+                pois = frozenset((seeds.ids[idx],))
+                value = lb
+            else:
+                # Infeasible ball, or value provably >= kth: the scan
+                # cannot produce a top-k entrant.
+                if not ball_ok[idx] or lb >= top.kth:
+                    continue
+                result = kernel.best_region(
+                    seeds.balls[idx], state, skip_gates=True
+                )
+                if result is None:
+                    continue
+                pois, value = result
+            if top.offer(value, state.frozen, pois):
+                limit = int(np.searchsorted(dist, top.kth, side="left"))
+        if ex is not None and i < n_seeds:
+            ex.prune(
+                "refine.pairs", "pair.distance",
+                n_seeds - i, float(dist[i]) - top.kth,
+            )
 
     def _corollary2_fixpoint(
         self,

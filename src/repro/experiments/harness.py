@@ -255,7 +255,7 @@ def run_workload(
     recorder-free, exactly like the serial overhead-free timing mode.
     Answers are identical to the in-process path; enumeration-order work
     counters (e.g. ``candidate_pairs_examined``) can shift by a hair
-    because workers run on the canonicalized snapshot restore of the
+    because workers run on the canonicalized arena attach of the
     network rather than the construction-order original.
     """
     if workers > 0:

@@ -43,9 +43,7 @@ def network_to_document(network: SpatialSocialNetwork) -> dict:
     """The plain-data bundle document for ``network``.
 
     The same structure :func:`save_network` writes to disk, kept in
-    memory: it is JSON- and pickle-safe, so it doubles as the network
-    snapshot the batch service ships to worker processes (see
-    :class:`repro.service.executor.NetworkSnapshot`).
+    memory (JSON- and pickle-safe).
     """
     road = network.road
     return {

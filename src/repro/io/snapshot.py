@@ -1,12 +1,12 @@
 """Zero-copy frozen snapshots: one mmap-backed arena for the whole network.
 
-Every batch worker and every ``gpssn serve`` boot used to rebuild
+This is the one persistence format for built processors. Rebuilding
 :class:`~repro.roadnet.csr.CSRGraph`, the contraction hierarchy, and both
-R*-tree indexes from a pickled bundle document — O(|V| + |E|) Python work
-per process, which caps experiments far below the 10^5-vertex road
-networks of the paper's Figs. 10–11. A *frozen snapshot* serializes every
-flat array behind the network into one versioned on-disk arena that
-``np.memmap`` opens in O(1):
+R*-tree indexes in every batch worker and every ``gpssn serve`` boot is
+O(|V| + |E|) Python work per process, which caps experiments far below
+the 10^5-vertex road networks of the paper's Figs. 10–11. A *frozen
+snapshot* serializes every flat array behind the network into one
+versioned on-disk arena that ``np.memmap`` opens in O(1):
 
 ========================  =======  ==============================================
 section                   dtype    contents
@@ -39,8 +39,9 @@ The file layout is ``MAGIC (8 bytes) | header length (uint64 LE) |
 header JSON | zero padding | sections``. The header carries the section
 table (dtype/shape/offset/crc32 per section) plus a ``meta`` document:
 entity counts, engine name, build arguments, version counters, CH
-metadata, and the embedded index-store document (minus the CH payload,
-which lives in the binary sections). Every section is little-endian,
+metadata, and the index document (R*-tree structure and augmented
+entries of I_R and I_S; the hierarchy and pivot rows live in the binary
+sections). Every section is little-endian,
 C-contiguous, and aligned to ``mmap.ALLOCATIONGRANULARITY``; nothing in
 the file depends on wall-clock time, so ``freeze → open → attach →
 freeze`` reproduces the file byte for byte.
@@ -67,12 +68,17 @@ from typing import Dict, Iterator, List, Optional, Tuple, Union
 
 import numpy as np
 
+from ..core.algorithm import GPSSNQueryProcessor, PruningToggles
 from ..exceptions import (
     GraphConstructionError,
+    IndexStateError,
     SnapshotFormatError,
     UnknownEntityError,
 )
 from ..geometry import Point
+from ..index.pivots import RoadPivotIndex, SocialPivotIndex
+from ..index.road_index import RoadIndex
+from ..index.social_index import SocialIndex
 from ..network import SpatialSocialNetwork
 from ..obs import Recorder
 from ..roadnet.ch import ContractionHierarchy
@@ -81,13 +87,15 @@ from ..roadnet.engines import CHEngine, CSREngine
 from ..roadnet.graph import NetworkPosition, RoadNetwork
 from ..roadnet.poi import POI
 from ..socialnet.graph import SocialNetwork, User
-from .index_store import processor_from_document, processor_to_document
 
 PathLike = Union[str, Path]
 
 MAGIC = b"GPSSNAP\x01"
 FORMAT_NAME = "gpssn-frozen-snapshot"
-FORMAT_VERSION = 1
+#: Version 2: the recorded build arguments no longer name a refinement
+#: kernel, and the index document dropped its own format, version and
+#: engine keys (the engine lives in ``meta``, the hierarchy in ``ch/*``).
+FORMAT_VERSION = 2
 
 #: Section (and data-area) alignment: the mmap granularity, so every
 #: section view is page-aligned for the OS to share across processes.
@@ -347,6 +355,83 @@ def _canonical_road_arrays(road: RoadNetwork):
 
 
 # ---------------------------------------------------------------------------
+# the index document
+# ---------------------------------------------------------------------------
+
+
+def processor_to_document(processor: GPSSNQueryProcessor) -> dict:
+    """The JSON image of a built processor's I_R and I_S.
+
+    Everything expensive to derive — the per-POI region sweep behind
+    I_R's augmented entries and both R*-tree structures — travels here;
+    the pivot distance rows and the contraction hierarchy ride in the
+    arena's binary sections instead.
+    """
+    return {
+        "network_version": processor.network.version,
+        "r_min": processor.r_min,
+        "r_max": processor.r_max,
+        "road_index": processor.road_index.snapshot(),
+        "social_index": processor.social_index.snapshot(),
+    }
+
+
+def processor_from_document(
+    document: dict,
+    network: SpatialSocialNetwork,
+    road_pivots: RoadPivotIndex,
+    build_args: dict,
+    toggles: Optional[PruningToggles] = None,
+    source: str = "<index-document>",
+) -> GPSSNQueryProcessor:
+    """Revive a ready-to-serve processor from :func:`processor_to_document`.
+
+    Args:
+        document: the parsed index document.
+        network: the network the document was built against (checked
+            via the version counter).
+        road_pivots: the pivot index revived from the stored dense
+            distance rows, so no per-pivot Dijkstra runs on attach.
+        build_args: the processor's recorded construction recipe
+            (``rebuild()`` replays it).
+        toggles: optional pruning toggles for the revived processor.
+        source: where the document came from (error messages only).
+
+    Raises:
+        IndexStateError: the document belongs to another network version.
+    """
+    if document["network_version"] != network.version:
+        raise IndexStateError(
+            f"{source}: indexes built against network version "
+            f"{document['network_version']}, current is {network.version}"
+        )
+    road_snapshot = document["road_index"]
+    social_snapshot = document["social_index"]
+    social_pivots = SocialPivotIndex(
+        network.social, social_snapshot["social_pivots"]
+    )
+
+    processor = GPSSNQueryProcessor.__new__(GPSSNQueryProcessor)
+    processor.toggles = toggles or PruningToggles()
+    processor.network = network
+    processor.recorder = Recorder()
+    processor.road_pivots = road_pivots
+    processor.social_pivots = social_pivots
+    processor.road_index = RoadIndex.from_snapshot(
+        network, road_pivots, road_snapshot
+    )
+    processor.social_index = SocialIndex.from_snapshot(
+        network, social_pivots, road_pivots, social_snapshot
+    )
+    processor.r_min = float(document["r_min"])
+    processor.r_max = float(document["r_max"])
+    processor._built_version = network.version
+    processor._kernel = None
+    processor._build_args = dict(build_args)
+    return processor
+
+
+# ---------------------------------------------------------------------------
 # freeze
 # ---------------------------------------------------------------------------
 
@@ -369,7 +454,7 @@ def freeze(
             ``include_indexes`` is true.
         build_args: processor build arguments (``seed``,
             ``distance_engine``, ...) used when building and recorded in
-            the file for worker-side fallbacks.
+            the file, so index-less arenas and ``rebuild()`` replay them.
         include_indexes: set false to freeze only the network arrays
             (workers then rebuild indexes on attach).
 
@@ -377,8 +462,6 @@ def freeze(
         The ``meta`` document written into the header.
     """
     if processor is None and include_indexes:
-        from ..core.algorithm import GPSSNQueryProcessor
-
         processor = GPSSNQueryProcessor(
             network, recorder=Recorder(), **(build_args or {})
         )
@@ -448,9 +531,6 @@ def freeze(
         sections["pivot/vertices"] = np.asarray(pivots, dtype="<i8")
         sections["pivot/rows"] = rows
         document = processor_to_document(processor)
-        # The hierarchy lives in the binary sections; shipping a second
-        # JSON copy would bloat the header by orders of magnitude.
-        document.get("distance_engine", {}).pop("ch", None)
 
     # -- POIs ---------------------------------------------------------------
     pois = sorted(network.pois(), key=lambda p: p.poi_id)
@@ -797,8 +877,6 @@ class FrozenSnapshot:
         Dijkstras; ``None`` when the snapshot was frozen without
         indexes.
         """
-        from ..index.pivots import RoadPivotIndex
-
         network = self.attach_network()
         document = self.meta.get("index")
         if not document:
@@ -814,9 +892,9 @@ class FrozenSnapshot:
         processor = processor_from_document(
             document,
             network,
+            road_pivots,
+            self.meta["build_args"],
             toggles=toggles,
             source=self.path,
-            road_pivots=road_pivots,
-            build_args=self.meta.get("build_args"),
         )
         return network, processor

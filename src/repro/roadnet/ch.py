@@ -35,11 +35,7 @@ DEFAULT_WITNESS_SETTLE_CAP = 120
 
 
 def _as_list(x) -> list:
-    """Plain-Python list from a list or a (possibly memmapped) array.
-
-    ``.tolist()`` also unboxes numpy scalars, which matters for the
-    JSON snapshot path (``np.int64`` is not JSON-serializable).
-    """
+    """Plain-Python list from a list or a (possibly memmapped) array."""
     return list(x) if isinstance(x, list) else x.tolist()
 
 
@@ -292,34 +288,6 @@ class ContractionHierarchy:
             return math.inf
         _, best = self._upward(seeds_a, other=backward)
         return float(best)
-
-    # ------------------------------------------------------------------
-    # persistence
-    # ------------------------------------------------------------------
-
-    def snapshot(self) -> dict:
-        """A JSON-serializable image of the built hierarchy."""
-        return {
-            "n": int(self.n),
-            "rank": _as_list(self.rank),
-            "up_indptr": _as_list(self.up_indptr),
-            "up_indices": _as_list(self.up_indices),
-            "up_weights": _as_list(self.up_weights),
-            "shortcuts_added": int(self.shortcuts_added),
-            "preprocess_seconds": float(self.preprocess_seconds),
-        }
-
-    @classmethod
-    def from_snapshot(cls, data: dict) -> "ContractionHierarchy":
-        return cls(
-            n=int(data["n"]),
-            rank=[int(r) for r in data["rank"]],
-            up_indptr=[int(i) for i in data["up_indptr"]],
-            up_indices=[int(i) for i in data["up_indices"]],
-            up_weights=[float(w) for w in data["up_weights"]],
-            shortcuts_added=int(data["shortcuts_added"]),
-            preprocess_seconds=float(data["preprocess_seconds"]),
-        )
 
     def __repr__(self) -> str:
         return (

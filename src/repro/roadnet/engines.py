@@ -37,7 +37,7 @@ import math
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from ..config import DISTANCE_ENGINES
-from ..exceptions import IndexStateError, InvalidParameterError
+from ..exceptions import InvalidParameterError
 from .ch import ContractionHierarchy
 from .csr import CSRGraph
 from .graph import NetworkPosition, RoadNetwork
@@ -212,7 +212,7 @@ class CSREngine(DistanceEngine):
 class CHEngine(CSREngine):
     """Contraction-hierarchy point-to-point on top of the CSR snapshot.
 
-    The hierarchy is built (or restored from a persisted snapshot) on
+    The hierarchy is built (or adopted from a frozen snapshot arena) on
     first use and rebuilt when the road network mutates. SSSP maps and
     bounded region sweeps go to the CSR kernel — the paper's ``2r``
     sweeps are truncated searches the hierarchy cannot shortcut.
@@ -258,39 +258,6 @@ class CHEngine(CSREngine):
                 upward_settles=float(self._ch.query_settles),
             )
         return out
-
-    # -- persistence (wired through repro.io.index_store) -------------------
-
-    def snapshot(self) -> dict:
-        """Serializable image of the preprocessed hierarchy."""
-        graph = self.graph()
-        ch = self.hierarchy()
-        return {
-            "road_version": int(graph.road_version),
-            "ids": [int(i) for i in graph.ids],
-            "hierarchy": ch.snapshot(),
-        }
-
-    @classmethod
-    def from_snapshot(cls, road: RoadNetwork, data: dict) -> "CHEngine":
-        """Revive a persisted hierarchy without re-running preprocessing.
-
-        Raises :class:`IndexStateError` when the snapshot was built
-        against a different road network (version or vertex remap
-        mismatch) — rebuild instead of loading in that case.
-        """
-        engine = cls(road)
-        graph = engine.graph()
-        if (
-            int(data["road_version"]) != graph.road_version
-            or [int(i) for i in data["ids"]] != [int(i) for i in graph.ids]
-        ):
-            raise IndexStateError(
-                "contraction-hierarchy snapshot does not match the current "
-                "road network; rebuild the engine instead of loading it"
-            )
-        engine._ch = ContractionHierarchy.from_snapshot(data["hierarchy"])
-        return engine
 
 
 class LazyCHEngine(CHEngine):
@@ -344,12 +311,6 @@ class LazyCHEngine(CHEngine):
     def adopt(self, graph: CSRGraph, ch: ContractionHierarchy) -> None:
         super().adopt(graph, ch)
         self._ch_version = self.road.version
-
-    @classmethod
-    def from_snapshot(cls, road: RoadNetwork, data: dict) -> "LazyCHEngine":
-        engine = super().from_snapshot(road, data)
-        engine._ch_version = road.version
-        return engine
 
     def mark_dirty(self, *vertices: int) -> None:
         """Record road vertices touched by a mutation (edge endpoints)."""

@@ -10,8 +10,8 @@ into a batch service. Three backends share one outcome contract:
 
 ``thread``
     A thread pool. Each worker thread owns its *own* warm
-    :class:`WorkerState` (network restored from the snapshot, processor
-    with built indexes, distance-oracle cache), so threads never share
+    :class:`WorkerState` (network and processor attached from the
+    snapshot arena, distance-oracle cache), so threads never share
     mutable query state; useful for low worker counts and for testing
     scheduling independence without process overhead.
 
@@ -19,8 +19,8 @@ into a batch service. Three backends share one outcome contract:
     A process pool (``fork`` where available). The picklable
     :class:`NetworkSnapshot` travels to each worker once, at pool
     warm-up; after that a worker answers every query of its shard
-    against its warm state — the engine build, the index build, and the
-    distance-oracle cache all amortize across the shard.
+    against its warm state — the attach and the distance-oracle cache
+    amortize across the shard.
 
 Batches are planned before dispatch (:mod:`repro.service.batch`):
 identical queries are answered once and fanned back out, and the unique
@@ -32,9 +32,11 @@ per-query timeout/retry envelope of :mod:`repro.service.limits`, so one
 pathological query degrades to a ``timeout`` outcome instead of
 stalling the batch.
 
-Answers are deterministic in (snapshot, build args, query): all
-backends restore workers from the *same* snapshot, so worker count and
-scheduling order never change outcomes.
+Answers are deterministic in (snapshot, query): all backends attach
+workers to the *same* frozen arena, so worker count and scheduling
+order never change outcomes. An executor built from a live network
+freezes it (indexes included) to a temporary arena at warm-up and
+deletes that file again on :meth:`BatchQueryExecutor.close`.
 
 Worker telemetry is not lost to process boundaries: every shard comes
 back as a :class:`ShardResult` whose
@@ -52,15 +54,17 @@ import concurrent.futures
 import logging
 import multiprocessing
 import os
+import tempfile
 import time
-from dataclasses import dataclass, field
+import weakref
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from ..core.algorithm import GPSSNQueryProcessor
 from ..core.query import GPSSNQuery
-from ..exceptions import IndexStateError, InvalidParameterError
-from ..io.bundle import network_from_document, network_to_document
+from ..exceptions import InvalidParameterError
+from ..io.snapshot import FrozenSnapshot, freeze
 from ..network import SpatialSocialNetwork
 from ..obs import (
     ExplainRecorder,
@@ -70,7 +74,6 @@ from ..obs import (
     Tracer,
 )
 from ..obs.exporters import spans_to_jsonl
-from ..roadnet.engines import CHEngine
 from .batch import BatchPlan, PlanItem, plan_batch, query_request_id
 from .limits import (
     STATUS_ERROR,
@@ -88,31 +91,17 @@ logger = logging.getLogger(__name__)
 
 @dataclass
 class NetworkSnapshot:
-    """A picklable, restore-exact image of a network + processor recipe.
+    """A picklable handle on a frozen snapshot arena.
 
-    Two modes share one worker-building contract
-    (:meth:`build_worker`):
-
-    *document mode* (``capture``) — ``document`` is the gpssn-bundle
-    document (plain data, pickle- and JSON-safe); ``build_args`` is the
-    processor construction recipe; ``engine_state`` optionally carries a
-    preprocessed contraction-hierarchy image so workers skip CH
-    preprocessing when the snapshot matches. Every worker rebuilds the
-    network and indexes from the document.
-
-    *frozen mode* (``from_frozen``) — ``snapshot_path`` points at a
-    :func:`repro.io.snapshot.freeze` arena on disk and ``header_hash``
-    pins the exact file that was opened at capture time. Pickling ships
-    only the path + hash; each worker ``np.memmap``-attaches the shared
-    pages instead of rebuilding, so warm-up is O(1) in network size and
-    the page cache is shared across the pool.
+    ``snapshot_path`` points at a :func:`repro.io.snapshot.freeze` arena
+    on disk and ``header_hash`` pins the exact file that was opened at
+    capture time. Pickling ships only the path + hash; each worker
+    ``np.memmap``-attaches the shared pages instead of rebuilding, so
+    warm-up is O(1) in network size and the page cache is shared across
+    the pool.
     """
 
-    document: Optional[dict] = None
-    build_args: Dict[str, object] = field(default_factory=dict)
-    distance_engine: str = "plain"
-    engine_state: Optional[dict] = None
-    snapshot_path: Optional[str] = None
+    snapshot_path: str
     header_hash: Optional[str] = None
 
     @classmethod
@@ -121,111 +110,74 @@ class NetworkSnapshot:
         network: SpatialSocialNetwork,
         build_args: Optional[Dict[str, object]] = None,
     ) -> "NetworkSnapshot":
-        """Snapshot ``network`` plus the processor recipe to replay on it."""
-        build_args = dict(build_args or {})
-        engine_name = build_args.pop("distance_engine", None)
-        if engine_name is None:
-            engine_name = network.distances.engine.name
-        engine_state = None
-        engine = network.distances.engine
-        if isinstance(engine, CHEngine) and engine.name == engine_name:
-            engine_state = engine.snapshot()
-        return cls(
-            document=network_to_document(network),
-            build_args=build_args,
-            distance_engine=engine_name,
-            engine_state=engine_state,
-        )
+        """Freeze ``network`` plus indexes built from ``build_args`` into a
+        temporary arena; the caller owns the file (see :meth:`discard`)."""
+        fd, path = tempfile.mkstemp(prefix="gpssn-", suffix=".gpsnap")
+        os.close(fd)
+        snapshot = cls(snapshot_path=path)
+        try:
+            freeze(network, path, build_args=dict(build_args or {}))
+            snapshot.header_hash = FrozenSnapshot.open(path).header_hash
+        except BaseException:
+            snapshot.discard()
+            raise
+        return snapshot
 
     @classmethod
     def from_frozen(cls, path: Union[str, Path]) -> "NetworkSnapshot":
-        """A snapshot that attaches to a frozen arena instead of rebuilding.
+        """A snapshot that attaches to an existing frozen arena.
 
         Opens the file once to validate the format and record its header
         hash; workers re-open (O(1)) and verify they see the same file.
         """
-        from ..io.snapshot import FrozenSnapshot
-
         frozen = FrozenSnapshot.open(path)
-        meta = frozen.meta
-        return cls(
-            build_args=dict(meta.get("build_args") or {}),
-            distance_engine=meta.get("distance_engine") or "plain",
-            snapshot_path=str(path),
-            header_hash=frozen.header_hash,
-        )
+        return cls(snapshot_path=str(path), header_hash=frozen.header_hash)
 
-    def restore(
-        self, recorder: Optional[Recorder] = None
-    ) -> SpatialSocialNetwork:
-        """A fresh network, structurally identical on every restore."""
-        if self.document is None:
-            from ..io.snapshot import FrozenSnapshot
-
-            return FrozenSnapshot.open(self.snapshot_path).attach_network()
-        network = network_from_document(self.document, source="<snapshot>")
-        engine = network.use_distance_engine(self.distance_engine)
-        if self.engine_state is not None and isinstance(engine, CHEngine):
-            try:
-                restored = CHEngine.from_snapshot(
-                    network.road, self.engine_state
-                )
-                network.distances.engine = restored
-            except IndexStateError as exc:
-                # Version drift: the lazy rebuild path is correct but the
-                # worker silently re-pays CH preprocessing — surface it.
-                logger.warning(
-                    "snapshot engine state does not match the restored "
-                    "network; rebuilding the hierarchy lazily (%s)", exc
-                )
-                if recorder is not None:
-                    recorder.metrics.inc("snapshot.rebuild_fallback")
-        return network
+    def discard(self) -> None:
+        """Delete the arena file (for snapshots made by :meth:`capture`)."""
+        try:
+            os.unlink(self.snapshot_path)
+        except FileNotFoundError:
+            pass
 
     def build_worker(
         self, recorder: Optional[Recorder] = None
     ) -> Tuple[SpatialSocialNetwork, GPSSNQueryProcessor]:
         """One worker's warm ``(network, processor)`` pair.
 
-        Frozen mode memmap-attaches the arena (timed into the
+        Memmap-attaches the arena, timed into the
         ``snapshot.attach_seconds`` / ``snapshot.bytes_mapped`` gauges on
-        ``recorder``); document mode rebuilds from the bundle document.
+        ``recorder``; an arena frozen without indexes replays its
+        recorded build arguments.
         """
         recorder = recorder or Recorder()
-        if self.snapshot_path is not None:
-            from ..io.snapshot import FrozenSnapshot
-
-            started = time.perf_counter()
-            frozen = FrozenSnapshot.open(self.snapshot_path)
-            if (
-                self.header_hash is not None
-                and frozen.header_hash != self.header_hash
-            ):
-                logger.warning(
-                    "frozen snapshot %s changed since it was captured "
-                    "(header %s, expected %s); attaching the current file",
-                    self.snapshot_path,
-                    frozen.header_hash[:12], self.header_hash[:12],
-                )
-                recorder.metrics.inc("snapshot.rebuild_fallback")
-            network, processor = frozen.attach()
-            if processor is None:
-                # The arena was frozen without indexes: replay the recipe.
-                processor = GPSSNQueryProcessor(
-                    network, recorder=recorder, **self.build_args
-                )
-            else:
-                processor.recorder = recorder
-            recorder.metrics.set_gauge(
-                "snapshot.attach_seconds", time.perf_counter() - started
+        started = time.perf_counter()
+        frozen = FrozenSnapshot.open(self.snapshot_path)
+        if (
+            self.header_hash is not None
+            and frozen.header_hash != self.header_hash
+        ):
+            logger.warning(
+                "frozen snapshot %s changed since it was captured "
+                "(header %s, expected %s); attaching the current file",
+                self.snapshot_path,
+                frozen.header_hash[:12], self.header_hash[:12],
             )
-            recorder.metrics.set_gauge(
-                "snapshot.bytes_mapped", float(frozen.bytes_mapped)
+            recorder.metrics.inc("snapshot.rebuild_fallback")
+        network, processor = frozen.attach()
+        if processor is None:
+            # The arena was frozen without indexes: replay the recipe.
+            processor = GPSSNQueryProcessor(
+                network, recorder=recorder,
+                **(frozen.meta.get("build_args") or {}),
             )
-            return network, processor
-        network = self.restore(recorder=recorder)
-        processor = GPSSNQueryProcessor(
-            network, recorder=recorder, **self.build_args
+        else:
+            processor.recorder = recorder
+        recorder.metrics.set_gauge(
+            "snapshot.attach_seconds", time.perf_counter() - started
+        )
+        recorder.metrics.set_gauge(
+            "snapshot.bytes_mapped", float(frozen.bytes_mapped)
         )
         return network, processor
 
@@ -233,9 +185,9 @@ class NetworkSnapshot:
 class WorkerState:
     """Everything one worker keeps warm across the queries it handles.
 
-    Built once per worker from the shared snapshot: the restored
+    Built once per worker from the shared snapshot: the attached
     network (own distance engine + oracle cache) and the processor with
-    both indexes built. Every query the worker answers afterwards reuses
+    both indexes revived. Every query the worker answers afterwards reuses
     all of it.
     """
 
@@ -276,13 +228,7 @@ class WorkerState:
             if not social.has_user(uid):
                 continue
             try:
-                if processor.refinement_kernel == "vector":
-                    processor._pair_kernel().member_row(uid)
-                else:
-                    user = social.user(uid)
-                    self.network.distances.distances_from(
-                        ("user", uid), user.home
-                    )
+                processor._pair_kernel().member_row(uid)
             except Exception:  # pragma: no cover - warm-up must not fail
                 continue
 
@@ -548,14 +494,17 @@ class BatchQueryExecutor:
         # worker-labelled series). False = the pre-delta behavior, kept
         # for the telemetry-overhead benchmark baseline.
         self.telemetry = telemetry
-        if snapshot is not None:
-            self.snapshot = snapshot
-        elif network is not None:
-            self.snapshot = NetworkSnapshot.capture(network, build_args)
-        else:
+        if snapshot is None and network is None:
             raise InvalidParameterError(
                 "BatchQueryExecutor needs a network or a prepared snapshot"
             )
+        # A live network is frozen lazily, at warm-up (the index build
+        # lands there, not in the constructor); the arena is then ours
+        # to delete on close(), or when the executor is collected.
+        self.snapshot = snapshot
+        self._network = network
+        self._build_args = dict(build_args or {})
+        self._discard_arena: Optional[weakref.finalize] = None
         self._serial_state: Optional[WorkerState] = None
         self._thread_states: List[WorkerState] = []
         self._pool: Optional[concurrent.futures.ProcessPoolExecutor] = None
@@ -608,6 +557,13 @@ class BatchQueryExecutor:
 
     # -- lifetime -----------------------------------------------------------
 
+    def _ensure_snapshot(self) -> NetworkSnapshot:
+        if self.snapshot is None:
+            snapshot = NetworkSnapshot.capture(self._network, self._build_args)
+            self._discard_arena = weakref.finalize(self, snapshot.discard)
+            self.snapshot = snapshot
+        return self.snapshot
+
     def warm(self) -> "BatchQueryExecutor":
         """Build every worker's warm state now (idempotent).
 
@@ -617,7 +573,7 @@ class BatchQueryExecutor:
         if self.backend == "serial":
             if self._serial_state is None:
                 self._serial_state = WorkerState(
-                    self.snapshot,
+                    self._ensure_snapshot(),
                     recorder=_worker_recorder(
                         self.worker_tracing, self.worker_explain
                     ),
@@ -625,7 +581,7 @@ class BatchQueryExecutor:
         elif self.backend == "thread":
             while len(self._thread_states) < self.workers:
                 self._thread_states.append(WorkerState(
-                    self.snapshot,
+                    self._ensure_snapshot(),
                     recorder=_worker_recorder(
                         self.worker_tracing, self.worker_explain
                     ),
@@ -639,6 +595,12 @@ class BatchQueryExecutor:
         if self._pool is not None:
             self._pool.shutdown(wait=True)
             self._pool = None
+        if self._discard_arena is not None:
+            # Warm in-process workers keep their (unlinked) mappings; a
+            # later warm-up freezes the network afresh.
+            self._discard_arena()
+            self._discard_arena = None
+            self.snapshot = None
 
     def __enter__(self) -> "BatchQueryExecutor":
         return self.warm()
@@ -653,7 +615,8 @@ class BatchQueryExecutor:
                 mp_context=_fork_or_default_context(),
                 initializer=_process_initializer,
                 initargs=(
-                    self.snapshot, self.worker_tracing, self.worker_explain,
+                    self._ensure_snapshot(), self.worker_tracing,
+                    self.worker_explain,
                 ),
             )
         return self._pool

@@ -55,9 +55,11 @@ from __future__ import annotations
 
 import json
 import queue
+import signal
 import threading
 import time
 import uuid
+import weakref
 from collections import deque
 from dataclasses import dataclass
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -278,17 +280,18 @@ class GPSSNService:
         self._explain = _LockedExplain() if cfg.explain else None
 
         # The dynamic plane (POST /update, /subscribe) mutates this live
-        # network through its own serial processor; worker states rebuild
-        # private copies from the snapshot, so the static /query plane
-        # keeps serving the capture-time network unchanged.
+        # network through its own serial processor; workers attach the
+        # arena frozen at warm-up, so the static /query plane keeps
+        # serving the capture-time network unchanged.
         self.network = network
+        self.build_args = dict(build_args or {})
         self._dynamic_lock = threading.Lock()
         self._dynamic = None
 
-        if snapshot is not None:
-            self.snapshot = snapshot
-        else:
-            self.snapshot = NetworkSnapshot.capture(network, build_args)
+        # A live network is frozen in warm(), where the index build
+        # runs; an arena frozen here is deleted on close().
+        self.snapshot = snapshot
+        self._discard_arena: Optional[weakref.finalize] = None
         # In-process worker pool (serial/thread) vs the process-pool
         # executor; exactly one of the two is populated.
         self._worker_pool: "queue.Queue[Tuple[int, WorkerState]]" = (
@@ -301,10 +304,10 @@ class GPSSNService:
                 workers=cfg.workers,
                 backend="process",
                 limits=self.limits,
-                build_args=build_args,
+                build_args=self.build_args,
                 worker_tracing=cfg.phase_timing,
                 worker_explain=cfg.explain,
-                snapshot=self.snapshot,
+                snapshot=snapshot,
             )
         # In-process worker tracers, registered at warm-up so the
         # sampling profiler can attribute CPU samples to active spans.
@@ -365,19 +368,30 @@ class GPSSNService:
         return state
 
     def warm(self) -> "GPSSNService":
-        """Build every worker's warm state (idempotent, blocking)."""
+        """Freeze a live network, then build every worker's warm state
+        (idempotent, blocking). The freeze holds the dynamic-plane lock
+        so an early ``/update`` cannot mutate the network mid-freeze."""
         if self._ready.is_set():
             return self
         if self._executor is not None:
-            self._executor.warm()
-            if self.snapshot.snapshot_path is not None:
-                # Pool workers attach in their own processes where we
-                # cannot scrape; one local attach (cheap by design) makes
-                # the gauges visible on the service registry too.
-                probe = Recorder()
-                self.snapshot.build_worker(probe)
-                self._adopt_snapshot_gauges(probe)
+            with self._dynamic_lock:
+                self._executor.warm()
+            self.snapshot = self._executor.snapshot
+            # Pool workers attach in their own processes where we cannot
+            # scrape; one local attach (cheap by design) makes the gauges
+            # visible on the service registry too.
+            probe = Recorder()
+            self.snapshot.build_worker(probe)
+            self._adopt_snapshot_gauges(probe)
         else:
+            if self.snapshot is None:
+                with self._dynamic_lock:
+                    self.snapshot = NetworkSnapshot.capture(
+                        self.network, self.build_args
+                    )
+                self._discard_arena = weakref.finalize(
+                    self, self.snapshot.discard
+                )
             while self._worker_pool.qsize() < self.workers:
                 self._worker_pool.put(
                     (self._worker_pool.qsize(), self._worker_state())
@@ -409,6 +423,8 @@ class GPSSNService:
         self.drain()
         if self._executor is not None:
             self._executor.close()
+        if self._discard_arena is not None:
+            self._discard_arena()
         if self._access_fp is not None:
             with self._access_lock:
                 self._access_fp.close()
@@ -718,7 +734,7 @@ class GPSSNService:
 
             recorder = Recorder(metrics=self.registry, explain=self._explain)
             processor = GPSSNQueryProcessor(
-                self.network, recorder=recorder, **self.snapshot.build_args
+                self.network, recorder=recorder, **self.build_args
             )
             self._dynamic = ContinuousQueryRegistry(
                 DynamicIndexMaintainer(processor), limits=self.limits
@@ -1205,6 +1221,10 @@ def create_server(
     return GPSSNHTTPServer((config.host, config.port), service)
 
 
+def _interrupt(signum, frame) -> None:
+    raise KeyboardInterrupt
+
+
 def serve(
     network: Optional[SpatialSocialNetwork],
     config: Optional[ServerConfig] = None,
@@ -1214,6 +1234,11 @@ def serve(
 ) -> None:
     """Run the daemon until interrupted (the ``gpssn serve`` loop)."""
     server = create_server(network, config, build_args, snapshot=snapshot)
+    main_thread = threading.current_thread() is threading.main_thread()
+    if main_thread:
+        # SIGTERM shuts down like Ctrl-C, so close() still deletes the
+        # arena a --input daemon froze at warm-up.
+        previous = signal.signal(signal.SIGTERM, _interrupt)
     server.service.warm_async()
     host, port = server.server_address[:2]
     if ready_message is not None:
@@ -1225,3 +1250,5 @@ def serve(
     finally:
         server.shutdown()
         server.server_close()
+        if main_thread:
+            signal.signal(signal.SIGTERM, previous)

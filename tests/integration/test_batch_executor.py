@@ -1,11 +1,14 @@
 """Integration tests for the batch executor and network snapshots."""
 
+import gc
+import os
 import pickle
 
 import pytest
 
 from repro.core.query import GPSSNQuery
 from repro.exceptions import InvalidParameterError
+from repro.io.snapshot import freeze
 from repro.obs import Recorder
 from repro.service import (
     BatchQueryExecutor,
@@ -35,30 +38,90 @@ class TestNetworkSnapshot:
         snapshot = NetworkSnapshot.capture(
             small_processor.network, dict(small_processor._build_args)
         )
-        restored = pickle.loads(pickle.dumps(snapshot))
-        query = _queries(issuers)[0]
-        a = WorkerState(snapshot).processor.answer(query, max_groups=150)[0]
-        b = WorkerState(restored).processor.answer(query, max_groups=150)[0]
-        assert a == b
+        try:
+            # Workers receive only the arena's path and header hash.
+            assert set(vars(snapshot)) == {"snapshot_path", "header_hash"}
+            restored = pickle.loads(pickle.dumps(snapshot))
+            query = _queries(issuers)[0]
+            a = WorkerState(snapshot).processor.answer(query, max_groups=150)
+            b = WorkerState(restored).processor.answer(query, max_groups=150)
+            assert a[0] == b[0]
+        finally:
+            snapshot.discard()
 
     @pytest.mark.parametrize("engine", ["plain", "csr", "ch"])
     def test_engine_choice_survives_restore(self, small_uni, engine):
         small_uni.use_distance_engine(engine)
         try:
             snapshot = NetworkSnapshot.capture(small_uni, {"seed": 1})
-            network = snapshot.restore()
+            try:
+                network = WorkerState(snapshot).network
+            finally:
+                snapshot.discard()
             assert network.distances.engine.name == engine
         finally:
             small_uni.use_distance_engine("plain")
 
-    def test_ch_preprocessing_rides_in_snapshot(self, small_uni):
+    def test_ch_preprocessing_rides_in_snapshot(self, small_uni, monkeypatch):
+        from repro.roadnet.ch import ContractionHierarchy
+
         engine = small_uni.use_distance_engine("ch")
-        engine.hierarchy()  # force preprocessing so capture can reuse it
+        built = engine.hierarchy()  # force preprocessing so capture reuses it
         try:
+            # Neither the capture nor the worker attach may re-contract.
+            def no_rebuild(*args, **kwargs):
+                raise AssertionError("hierarchy was rebuilt")
+
+            monkeypatch.setattr(ContractionHierarchy, "build", no_rebuild)
             snapshot = NetworkSnapshot.capture(small_uni, {"seed": 1})
-            assert snapshot.engine_state is not None
+            try:
+                revived = WorkerState(snapshot).network.distances.engine
+            finally:
+                snapshot.discard()
+            hierarchy = revived.hierarchy()
+            for name in ("rank", "up_indptr", "up_indices", "up_weights"):
+                assert list(getattr(hierarchy, name)) == list(
+                    getattr(built, name)
+                ), name
         finally:
             small_uni.use_distance_engine("plain")
+
+
+class TestArenaLifecycle:
+    """A captured temporary arena belongs to its executor; a user's
+    arena passed through ``from_frozen`` is never deleted."""
+
+    @pytest.mark.parametrize("backend", ["serial", "process"])
+    def test_captured_arena_deleted_on_close(
+        self, small_processor, issuers, backend
+    ):
+        executor = BatchQueryExecutor.from_processor(
+            small_processor, workers=1, backend=backend
+        )
+        with executor:
+            path = executor.snapshot.snapshot_path
+            assert os.path.exists(path)
+            assert all(o.ok for o in executor.run(
+                _queries(issuers)[:1], max_groups=150
+            ))
+        assert not os.path.exists(path)
+        assert executor.snapshot is None
+
+    def test_user_arena_survives_close(self, small_processor, tmp_path):
+        path = tmp_path / "user.gpsnap"
+        freeze(small_processor.network, path, processor=small_processor)
+        with BatchQueryExecutor.from_frozen(path) as executor:
+            executor.run([], max_groups=150)
+        assert path.exists()
+
+    def test_unclosed_executor_arena_deleted_when_collected(
+        self, small_processor
+    ):
+        executor = BatchQueryExecutor.from_processor(small_processor).warm()
+        path = executor.snapshot.snapshot_path
+        del executor
+        gc.collect()
+        assert not os.path.exists(path)
 
 
 class TestBatchQueryExecutor:

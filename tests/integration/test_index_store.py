@@ -1,12 +1,13 @@
-"""Index persistence: saved and reloaded processors answer identically."""
+"""Index persistence: processors frozen into an arena and attached back
+answer identically, with the same structures and simulated I/O."""
 
 import numpy as np
 import pytest
 
 from repro import GPSSNQuery, GPSSNQueryProcessor, uni_dataset
 from repro.core.metrics import InterestMetric
-from repro.exceptions import IndexStateError, InvalidParameterError
-from repro.io.index_store import load_processor, save_processor
+from repro.exceptions import IndexStateError, SnapshotFormatError
+from repro.io.snapshot import FrozenSnapshot, freeze
 
 
 @pytest.fixture(scope="module")
@@ -17,15 +18,19 @@ def setup(tmp_path_factory):
     processor = GPSSNQueryProcessor(
         network, num_road_pivots=3, num_social_pivots=3, seed=27
     )
-    path = tmp_path_factory.mktemp("store") / "indexes.json"
-    save_processor(path, processor)
+    path = tmp_path_factory.mktemp("store") / "indexes.gpsnap"
+    freeze(network, path, processor=processor)
     return network, processor, path
+
+
+def _attach(path):
+    return FrozenSnapshot.open(path).attach()
 
 
 class TestRoundTrip:
     def test_answers_identical(self, setup):
         network, original, path = setup
-        revived = load_processor(path, network)
+        attached, revived = _attach(path)
         rng = np.random.default_rng(0)
         for _ in range(5):
             uq = int(rng.integers(network.social.num_users))
@@ -35,25 +40,25 @@ class TestRoundTrip:
             a, sa = original.answer(query)
             b, sb = revived.answer(query)
             assert a.found == b.found
-            if a.found:
-                assert a.max_distance == pytest.approx(b.max_distance)
-                assert a.users == b.users
-                assert a.pois == b.pois
+            assert a.users == b.users
+            assert a.pois == b.pois
+            assert repr(a.max_distance) == repr(b.max_distance)
             # Identical structures: identical simulated I/O.
             assert sa.page_accesses == sb.page_accesses
 
     def test_structure_matches(self, setup):
-        network, original, path = setup
-        revived = load_processor(path, network)
+        _network, original, path = setup
+        _attached, revived = _attach(path)
         assert revived.road_index.height == original.road_index.height
         assert revived.road_index.num_pages == original.road_index.num_pages
         assert revived.social_index.num_pages == original.social_index.num_pages
         assert revived.road_pivots.pivots == original.road_pivots.pivots
         assert revived.social_pivots.pivots == original.social_pivots.pivots
+        assert revived._build_args == original._build_args
 
     def test_augmented_data_survives(self, setup):
         network, original, path = setup
-        revived = load_processor(path, network)
+        _attached, revived = _attach(path)
         for pid in network.poi_ids():
             a = original.road_index.augmented(pid)
             b = revived.road_index.augmented(pid)
@@ -62,18 +67,22 @@ class TestRoundTrip:
             assert a.pivot_dists == pytest.approx(b.pivot_dists)
 
     def test_topk_and_metrics_work_on_revived(self, setup):
-        network, _, path = setup
-        revived = load_processor(path, network)
+        _network, original, path = setup
+        _attached, revived = _attach(path)
         query = GPSSNQuery(
             query_user=0, tau=2, gamma=0.5, theta=0.2,
             metric=InterestMetric.COSINE,
         )
         answers, _ = revived.answer_topk(query, 3)
-        assert isinstance(answers, list)
+        expected, _ = original.answer_topk(query, 3)
+        assert [(a.users, a.pois) for a in answers] == [
+            (a.users, a.pois) for a in expected
+        ]
 
 
 class TestDistanceEnginePersistence:
-    def test_ch_preprocessing_survives_roundtrip(self, tmp_path):
+    def test_ch_preprocessing_survives_roundtrip(self, tmp_path, monkeypatch):
+        from repro.roadnet.ch import ContractionHierarchy
         from repro.roadnet.engines import CHEngine
 
         network = uni_dataset(
@@ -83,21 +92,22 @@ class TestDistanceEnginePersistence:
             network, num_road_pivots=3, num_social_pivots=3, seed=27,
             distance_engine="ch",
         )
-        path = tmp_path / "ch-store.json"
-        save_processor(path, processor)
+        path = tmp_path / "ch-store.gpsnap"
+        freeze(network, path, processor=processor)
         built = network.distances.engine
         assert isinstance(built, CHEngine)
         shortcuts = built.hierarchy().shortcuts_added
 
-        # Load into an identically constructed network (as a fresh
-        # process would) — the hierarchy must revive, not rebuild.
-        fresh = uni_dataset(
-            num_road_vertices=90, num_pois=30, num_users=60, seed=27
-        )
-        revived = load_processor(path, fresh)
-        engine = fresh.distances.engine
+        # Attach the way a fresh process would: the hierarchy must
+        # revive from the arena, never re-contract.
+        def no_rebuild(*args, **kwargs):
+            raise AssertionError("hierarchy was rebuilt")
+
+        monkeypatch.setattr(ContractionHierarchy, "build", no_rebuild)
+        attached, revived = _attach(path)
+        engine = attached.distances.engine
         assert isinstance(engine, CHEngine)
-        assert engine._ch is not None  # restored, no lazy build pending
+        assert engine._ch is not None  # adopted, no lazy build pending
         assert engine._ch.shortcuts_added == shortcuts
 
         query = GPSSNQuery(
@@ -106,39 +116,41 @@ class TestDistanceEnginePersistence:
         a, _ = processor.answer(query)
         b, _ = revived.answer(query)
         assert a.found == b.found
-        if a.found:
-            assert a.max_distance == pytest.approx(b.max_distance)
-            assert a.users == b.users and a.pois == b.pois
+        assert a.users == b.users and a.pois == b.pois
+        assert repr(a.max_distance) == repr(b.max_distance)
 
-    def test_plain_store_keeps_plain_engine(self, setup, tmp_path):
-        network, processor, path = setup
-        revived = load_processor(path, network)
-        assert network.distances.engine.name == "plain"
-        assert revived._build_args["distance_engine"] == "plain"
+    def test_plain_store_keeps_plain_engine(self, setup):
+        _network, _processor, path = setup
+        attached, revived = _attach(path)
+        assert attached.distances.engine.name == "plain"
+        assert revived.network.distances.engine.name == "plain"
 
 
 class TestValidation:
-    def test_mutated_network_rejected(self, setup, tmp_path):
-        network, processor, _ = setup
-        path = tmp_path / "store.json"
-        save_processor(path, processor)
+    def test_mutated_network_rejected(self, setup):
         from repro import NetworkPosition, POI
 
-        u, v, length = next(iter(network.road.edges()))
+        _network, _processor, path = setup
+        # Indexes recorded against another network version never attach.
+        frozen = FrozenSnapshot.open(path)
+        frozen.meta["index"]["network_version"] += 1
+        with pytest.raises(IndexStateError, match="network version"):
+            frozen.attach()
+
+        # And an attached processor refuses to serve once its network
+        # moves on.
+        attached, revived = _attach(path)
+        u, v, _length = next(iter(attached.road.edges()))
         position = NetworkPosition(u, v, 0.0)
-        network.add_poi(POI(
-            9000, network.road.position_coords(position), position,
+        attached.add_poi(POI(
+            9000, attached.road.position_coords(position), position,
             frozenset({0}),
         ))
-        try:
-            with pytest.raises(IndexStateError, match="network version"):
-                load_processor(path, network)
-        finally:
-            network.remove_poi(9000)
+        with pytest.raises(IndexStateError, match="rebuild"):
+            revived.answer(GPSSNQuery(query_user=0, tau=2))
 
-    def test_wrong_format_rejected(self, setup, tmp_path):
-        network, _, _ = setup
+    def test_wrong_format_rejected(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text('{"format": "other"}')
-        with pytest.raises(InvalidParameterError):
-            load_processor(path, network)
+        with pytest.raises(SnapshotFormatError):
+            FrozenSnapshot.open(path)

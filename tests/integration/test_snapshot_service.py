@@ -1,6 +1,8 @@
 """Frozen snapshots through the service stack: executor backends, the
 serve daemon's telemetry, fallback behavior, and the CLI paths."""
 
+import os
+
 import pytest
 
 from repro.cli import main
@@ -99,6 +101,24 @@ class TestServiceTelemetry:
             assert "snapshot" in text and "attach_seconds" in text
             status = service.status_view()
             assert status["ready"]
+        # The arena was the caller's: closing the service keeps it.
+        assert path.exists()
+
+
+class TestServiceArenaLifecycle:
+    @pytest.mark.parametrize("backend", ["serial", "process"])
+    def test_captured_arena_deleted_at_close(self, frozen_setup, backend):
+        network, _path, entries = frozen_setup
+        config = ServerConfig(workers=1, backend=backend, timeout_sec=None)
+        service = GPSSNService(network, config, build_args={"seed": SEED})
+        # The freeze (and its index build) waits for warm-up.
+        assert service.snapshot is None
+        with service:
+            arena = service.snapshot.snapshot_path
+            assert os.path.exists(arena)
+            result = service.execute(entries[:1], request_id="req-own")
+            assert result.outcomes[0].ok
+        assert not os.path.exists(arena)
 
 
 class TestCLI:

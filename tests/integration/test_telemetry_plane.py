@@ -219,10 +219,13 @@ class TestSpanBudget:
         from repro.service import ExecutionLimits, NetworkSnapshot
         from repro.service.executor import WorkerState, _worker_recorder
 
-        state = WorkerState(
-            NetworkSnapshot.capture(network, {"seed": SEED}),
-            recorder=_worker_recorder(traced=True),
-        )
+        snapshot = NetworkSnapshot.capture(network, {"seed": SEED})
+        try:
+            state = WorkerState(
+                snapshot, recorder=_worker_recorder(traced=True)
+            )
+        finally:
+            snapshot.discard()
         plan = plan_batch(entries, 1)
         ctx = TraceContext(request_id="req-capped", max_spans=2)
         shard = state.run_shard(

@@ -1,11 +1,13 @@
-"""S4 — scalar vs. vector refinement kernels are indistinguishable.
+"""S4 — the vector pair kernel is indistinguishable from the scalar oracle.
 
-The vectorized pair-evaluation path (``refinement_kernel="vector"``)
-promises *byte-identical* outcomes to the scalar reference, including
-the EXPLAIN funnel: same answers, same ``candidate_pairs_examined``,
-same per-rule prune counts (``pair.distance`` above all — it is the
-dominant rule the vectorization reorganizes). Hypothesis sweeps query
-parameters over random networks and all three distance engines.
+The product's vectorized pair evaluation (``PairKernel``) promises
+*byte-identical* outcomes to the per-pair scalar reference kept in
+:class:`tests.oracles.ScalarRefinementProcessor`, including the EXPLAIN
+funnel: same answers, same ``candidate_pairs_examined``, same per-rule
+prune counts (``pair.distance`` above all — it is the dominant rule the
+vectorization reorganizes). Hypothesis sweeps query parameters over
+random networks and all three distance engines; the uncapped sweep
+also checks the objective against the exhaustive ``BaselineProcessor``.
 """
 
 import math
@@ -14,14 +16,20 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro import GPSSNQueryProcessor, uni_dataset
+from repro.core.baseline import BaselineProcessor
 from repro.core.query import GPSSNQuery
 from repro.obs import Recorder
 from repro.obs.funnel import ExplainRecorder
+from tests.oracles import ScalarRefinementProcessor
 
 ENGINES = ("plain", "csr", "ch")
 
+#: The two pair-evaluation paths under comparison.
+KERNELS = {"scalar": ScalarRefinementProcessor, "vector": GPSSNQueryProcessor}
+
 _NETWORKS = {}
 _PROCESSORS = {}
+_BASELINES = {}
 
 
 def _network(engine):
@@ -37,15 +45,20 @@ def _network(engine):
 def _processor(engine, kernel):
     key = (engine, kernel)
     if key not in _PROCESSORS:
-        _PROCESSORS[key] = GPSSNQueryProcessor(
+        _PROCESSORS[key] = KERNELS[kernel](
             _network(engine),
             num_road_pivots=3,
             num_social_pivots=3,
             seed=11,
             recorder=Recorder(explain=ExplainRecorder()),
-            refinement_kernel=kernel,
         )
     return _PROCESSORS[key]
+
+
+def _baseline(engine):
+    if engine not in _BASELINES:
+        _BASELINES[engine] = BaselineProcessor(_network(engine))
+    return _BASELINES[engine]
 
 
 def _funnel_snapshot(processor):
@@ -98,6 +111,11 @@ def test_vector_matches_scalar(engine, uid, tau, gamma, theta, radius):
     scalar_run = _run(_processor(engine, "scalar"), query)
     vector_run = _run(_processor(engine, "vector"), query)
     _assert_identical(query, scalar_run, vector_run)
+    # Uncapped refinement is exact: the objective must match the
+    # exhaustive competitor's.
+    expected, _ = _baseline(engine).answer(query)
+    assert vector_run[0].found == expected.found, query
+    assert repr(vector_run[0].max_distance) == repr(expected.max_distance), query
 
 
 @settings(max_examples=15, deadline=None)
@@ -141,15 +159,13 @@ def test_topk_matches_scalar(engine):
 
 def test_tiny_network_exhaustive_grid(tiny_network):
     """Hand-checkable network, exhaustive parameter grid, bitwise parity."""
-    scalar = GPSSNQueryProcessor(
+    scalar = ScalarRefinementProcessor(
         tiny_network, num_road_pivots=2, num_social_pivots=2, seed=3,
         recorder=Recorder(explain=ExplainRecorder()),
-        refinement_kernel="scalar",
     )
     vector = GPSSNQueryProcessor(
         tiny_network, num_road_pivots=2, num_social_pivots=2, seed=3,
         recorder=Recorder(explain=ExplainRecorder()),
-        refinement_kernel="vector",
     )
     found_any = False
     for uid in (0, 1, 2, 4):
@@ -168,13 +184,11 @@ def test_tiny_network_exhaustive_grid(tiny_network):
 
 def test_infeasible_query_parity(tiny_network):
     """Both kernels agree on the all-pruned path (no feasible pair)."""
-    scalar = GPSSNQueryProcessor(
-        tiny_network, seed=3, refinement_kernel="scalar",
-        recorder=Recorder(explain=ExplainRecorder()),
+    scalar = ScalarRefinementProcessor(
+        tiny_network, seed=3, recorder=Recorder(explain=ExplainRecorder()),
     )
     vector = GPSSNQueryProcessor(
-        tiny_network, seed=3, refinement_kernel="vector",
-        recorder=Recorder(explain=ExplainRecorder()),
+        tiny_network, seed=3, recorder=Recorder(explain=ExplainRecorder()),
     )
     query = GPSSNQuery(
         query_user=0, tau=2, gamma=0.05, theta=5.0, radius=2.0

@@ -7,7 +7,6 @@ import pytest
 
 from repro import NetworkPosition, RoadNetwork
 from repro.datagen.synthetic import generate_road_network
-from repro.exceptions import IndexStateError
 from repro.roadnet.ch import ContractionHierarchy
 from repro.roadnet.csr import CSRGraph
 from repro.roadnet.engines import CHEngine, PlainEngine
@@ -83,21 +82,25 @@ class TestHierarchyExactness:
 
 class TestHierarchySnapshot:
     def test_roundtrip_identical(self, grid_road):
+        """A hierarchy revived over borrowed arrays — how a frozen arena
+        hands its ``ch/*`` sections over — answers exactly like the
+        built one."""
         csr = CSRGraph(grid_road)
         ch = ContractionHierarchy.build(csr)
-        revived = ContractionHierarchy.from_snapshot(ch.snapshot())
-        assert revived.rank == ch.rank
-        assert revived.up_indptr == ch.up_indptr
-        assert revived.up_indices == ch.up_indices
-        assert revived.up_weights == pytest.approx(ch.up_weights)
-        assert revived.shortcuts_added == ch.shortcuts_added
+        revived = ContractionHierarchy(
+            n=ch.n,
+            rank=np.asarray(ch.rank, dtype=np.int64),
+            up_indptr=np.asarray(ch.up_indptr, dtype=np.int64),
+            up_indices=np.asarray(ch.up_indices, dtype=np.int64),
+            up_weights=np.asarray(ch.up_weights, dtype=np.float64),
+            shortcuts_added=ch.shortcuts_added,
+            preprocess_seconds=ch.preprocess_seconds,
+        )
+        assert list(revived.rank) == list(ch.rank)
+        assert list(revived.up_indptr) == list(ch.up_indptr)
+        assert list(revived.up_indices) == list(ch.up_indices)
+        assert list(revived.up_weights) == list(ch.up_weights)
         assert_all_pairs_exact(grid_road, revived, csr)
-
-    def test_snapshot_is_json_serializable(self, grid_road):
-        import json
-
-        ch = ContractionHierarchy.build(CSRGraph(grid_road))
-        assert json.loads(json.dumps(ch.snapshot())) == ch.snapshot()
 
 
 class TestCHEngine:
@@ -145,21 +148,18 @@ class TestCHEngine:
         assert stats["preprocess_seconds"] > 0.0
         assert stats["upward_settles"] > 0.0
 
-    def test_engine_snapshot_roundtrip(self, grid_road):
+    def test_engine_snapshot_roundtrip(self, grid_road, monkeypatch):
         engine = CHEngine(grid_road)
-        snap = engine.snapshot()
-        revived = CHEngine.from_snapshot(grid_road, snap)
-        # Revival must not re-run preprocessing.
-        assert revived._ch is not None
-        assert revived._ch.shortcuts_added == engine._ch.shortcuts_added
+        built = engine.hierarchy()
+        revived = CHEngine(grid_road)
+        revived.adopt(CSRGraph(grid_road), built)
+
+        # Adoption must not re-run preprocessing.
+        def no_rebuild(*args, **kwargs):
+            raise AssertionError("hierarchy was rebuilt")
+
+        monkeypatch.setattr(ContractionHierarchy, "build", no_rebuild)
+        assert revived.hierarchy() is built
         a = NetworkPosition(0, 1, 2.0)
         b = NetworkPosition(10, 11, 8.0)
-        assert revived.point_to_point(a, b) == pytest.approx(
-            engine.point_to_point(a, b), abs=1e-9
-        )
-
-    def test_engine_snapshot_rejects_other_road(self, grid_road):
-        snap = CHEngine(grid_road).snapshot()
-        other = build_grid_road(side=5)
-        with pytest.raises(IndexStateError):
-            CHEngine.from_snapshot(other, snap)
+        assert revived.point_to_point(a, b) == engine.point_to_point(a, b)

@@ -9,7 +9,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from repro import uni_dataset
 from repro.core.refinement import (
     BallArrays,
     PairKernel,
@@ -24,6 +26,18 @@ from repro.roadnet.shortest_path import (
     VertexIndexer,
     position_distance_from_map,
 )
+
+
+_RANDOM_NETWORKS = {}
+
+
+def _random_network(seed):
+    """A small random UNI network per seed, built once per test run."""
+    if seed not in _RANDOM_NETWORKS:
+        _RANDOM_NETWORKS[seed] = uni_dataset(
+            num_road_vertices=50, num_pois=20, num_users=30, seed=100 + seed
+        )
+    return _RANDOM_NETWORKS[seed]
 
 
 class TestVertexIndexer:
@@ -224,26 +238,30 @@ class TestPairKernel:
         assert kernel.user_poi_feasible(1, 0.3) is kernel.user_poi_feasible(1, 0.3)
         assert kernel.user_poi_feasible(1, 0.3) is not kernel.user_poi_feasible(1, 0.5)
 
-    def test_best_region_matches_scalar_reference(self, small_uni):
-        kernel = PairKernel(small_uni)
-        theta = 0.45
-        radius = 20.0
+    @settings(max_examples=25, deadline=None)
+    @given(
+        net_seed=st.integers(0, 3),
+        theta=st.floats(0.0, 1.2),
+        radius=st.floats(0.5, 30.0),
+        issuer=st.integers(0, 29),
+    )
+    def test_best_region_matches_scalar_reference(
+        self, net_seed, theta, radius, issuer
+    ):
+        network = _random_network(net_seed)
+        kernel = PairKernel(network)
         groups = list(
-            enumerate_connected_groups(small_uni, 0, 3, 0.0, limit=12)
+            enumerate_connected_groups(network, issuer, 3, 0.0, limit=6)
         )
-        assert groups
-        checked = 0
         for group in groups:
             members = sorted(group)
-            dist_maps = group_distance_maps(small_uni, members)
-            interests = [
-                small_uni.social.user(u).interests for u in members
-            ]
+            dist_maps = group_distance_maps(network, members)
+            interests = [network.social.user(u).interests for u in members]
             state = kernel.group_state(group, theta)
-            for seed in small_uni.poi_ids()[:10]:
-                region = small_uni.pois_within(seed, radius)
+            for seed in network.poi_ids()[:8]:
+                region = network.pois_within(seed, radius)
                 expected = best_region_for_seed(
-                    small_uni, interests, dist_maps, seed, region, theta
+                    network, interests, dist_maps, seed, region, theta
                 )
                 ball = kernel.ball(seed, region)
                 got = kernel.best_region(ball, state)
@@ -260,5 +278,3 @@ class TestPairKernel:
                     assert kernel.best_region(
                         ball, state, skip_gates=True
                     ) == expected
-                checked += 1
-        assert checked > 0

@@ -49,6 +49,23 @@ def _craft(path, header: dict) -> None:
     path.write_bytes(MAGIC + struct.pack("<Q", len(blob)) + blob)
 
 
+def _write_previous_version(arena, dest) -> None:
+    """Copy ``arena`` with a version-1 header: the same sections, and the
+    meta the previous format carried (``refinement_kernel`` in
+    ``build_args``)."""
+    data = arena.read_bytes()
+    (length,) = struct.unpack("<Q", data[len(MAGIC):len(MAGIC) + 8])
+    header = json.loads(data[len(MAGIC) + 8:len(MAGIC) + 8 + length])
+    header["version"] = 1
+    header["meta"]["build_args"]["refinement_kernel"] = "vector"
+    blob = json.dumps(header, sort_keys=True, separators=(",", ":"))
+    blob = blob.encode("utf-8")
+    start = min(entry["offset"] for entry in header["sections"])
+    head = MAGIC + struct.pack("<Q", len(blob)) + blob
+    assert len(head) <= start
+    dest.write_bytes(head + b"\x00" * (start - len(head)) + data[start:])
+
+
 class TestOpen:
     def test_roundtrip(self, arena):
         frozen = FrozenSnapshot.open(arena)
@@ -102,6 +119,21 @@ class TestOpen:
         _craft(bad, {"format": FORMAT_NAME, "version": FORMAT_VERSION + 1})
         with pytest.raises(SnapshotFormatError, match="version"):
             FrozenSnapshot.open(bad)
+
+    def test_previous_version_arena_rejected(self, arena, tmp_path):
+        """A version-1 arena (its build_args still name a refinement
+        kernel) must fail at open, before any processor is built."""
+        old = tmp_path / "v1.gpsnap"
+        _write_previous_version(arena, old)
+        with pytest.raises(SnapshotFormatError, match="version 1"):
+            FrozenSnapshot.open(old)
+
+    def test_previous_version_arena_exits_2_in_serve(self, arena, tmp_path):
+        from repro.cli import main
+
+        old = tmp_path / "v1.gpsnap"
+        _write_previous_version(arena, old)
+        assert main(["serve", "--snapshot", str(old), "--port", "0"]) == 2
 
     def test_truncated_section(self, arena, tmp_path):
         bad = tmp_path / "cut.gpsnap"

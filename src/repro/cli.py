@@ -53,7 +53,7 @@ import json
 import sys
 from typing import List, Optional, Tuple
 
-from .config import DISTANCE_ENGINES
+from .config import DEFAULT_DISTANCE_ENGINE, DISTANCE_ENGINES
 from .core.algorithm import GPSSNQueryProcessor
 from .core.metrics import InterestMetric
 from .core.query import GPSSNQuery
@@ -163,10 +163,11 @@ def _add_query_args(parser: argparse.ArgumentParser) -> None:
         "--metric", choices=[m.value for m in InterestMetric], default="dot"
     )
     parser.add_argument(
-        "--distance-engine", choices=list(DISTANCE_ENGINES), default="plain",
-        help="dist_RN engine: plain Dijkstra, the CSR array kernel, or "
-        "the contraction hierarchy (offline preprocessing, fastest "
-        "point-to-point queries)",
+        "--distance-engine", choices=list(DISTANCE_ENGINES),
+        default=DEFAULT_DISTANCE_ENGINE,
+        help="dist_RN engine: the CSR array kernel (default), the "
+        "contraction hierarchy (offline preprocessing, fastest "
+        "point-to-point queries), or its lazily invalidated variant",
     )
     parser.add_argument("--topk", type=int, default=1)
     parser.add_argument("--max-groups", type=int, default=None)
@@ -217,7 +218,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--output", required=True, help="snapshot path (.gpssnap)"
     )
     frz.add_argument(
-        "--distance-engine", choices=list(DISTANCE_ENGINES), default="plain",
+        "--distance-engine", choices=list(DISTANCE_ENGINES),
+        default=DEFAULT_DISTANCE_ENGINE,
         help="dist_RN engine baked into the snapshot (ch also freezes "
         "the preprocessed hierarchy)",
     )
@@ -271,7 +273,8 @@ def build_parser() -> argparse.ArgumentParser:
         "and timeouts are never retried)",
     )
     batch.add_argument(
-        "--distance-engine", choices=list(DISTANCE_ENGINES), default="plain",
+        "--distance-engine", choices=list(DISTANCE_ENGINES),
+        default=DEFAULT_DISTANCE_ENGINE,
     )
     batch.add_argument("--max-groups", type=int, default=None,
                        help="default refinement cap for lines without one")
@@ -364,7 +367,8 @@ def build_parser() -> argparse.ArgumentParser:
         "profiler; collapsed/flamegraph/json formats)",
     )
     serve.add_argument(
-        "--distance-engine", choices=list(DISTANCE_ENGINES), default="plain",
+        "--distance-engine", choices=list(DISTANCE_ENGINES),
+        default=DEFAULT_DISTANCE_ENGINE,
     )
     serve.add_argument("--max-groups", type=int, default=None,
                        help="default refinement cap for lines without one")
@@ -487,7 +491,8 @@ def build_parser() -> argparse.ArgumentParser:
         "gpssn batch diff)",
     )
     rep.add_argument(
-        "--distance-engine", choices=list(DISTANCE_ENGINES), default="plain",
+        "--distance-engine", choices=list(DISTANCE_ENGINES),
+        default=DEFAULT_DISTANCE_ENGINE,
     )
     rep.add_argument("--max-groups", type=int, default=None,
                      help="default refinement cap for lines without one")

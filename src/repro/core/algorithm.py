@@ -210,7 +210,7 @@ class GPSSNQueryProcessor:
         self.network = network
         rng = np.random.default_rng(seed)
         self.road_pivots = road_pivots or select_pivots_road(
-            network.road, num_road_pivots, rng
+            network.distances.engine, num_road_pivots, rng
         )
         self.social_pivots = social_pivots or select_pivots_social(
             network.social, num_social_pivots, rng
@@ -1073,11 +1073,13 @@ class GPSSNQueryProcessor:
         # All seeds at once: the seed-alone gate and the exact pair value
         # lower bound (no region of seed o can score below
         # max_{u in S} dist_RN(u, o)), plus the full-ball feasibility
-        # gate as one matmul.
+        # gate as one matmul. The gate only filters: a ball within
+        # rounding of theta passes on to the exact prefix scan.
         seed_ok = state.seed_feasible[seeds.dense].tolist()
         seed_lb = state.gmax[seeds.dense].tolist()
         ball_ok = (
-            (seeds.full_cover @ state.interests.T).min(axis=1) >= theta
+            (seeds.full_cover @ state.interests.T).min(axis=1)
+            >= theta - state.tol
         ).tolist()
         dist = seeds.dist
         # Seeds past `limit` all fail dist < kth: the early-termination

@@ -30,7 +30,6 @@ POIs ordered by ``max_{u in S} dist_RN(u, o)``.
 
 from __future__ import annotations
 
-import math
 from collections import OrderedDict
 from typing import (
     Dict,
@@ -50,7 +49,13 @@ import numpy as np
 from ..exceptions import UnknownEntityError
 from ..network import SpatialSocialNetwork
 from ..roadnet.shortest_path import PositionArrays, position_distance_from_map
-from .scores import interest_score, match_score
+from .scores import (
+    first_theta_matched_row,
+    interest_score,
+    match_score,
+    match_score_tolerance,
+    theta_matched_rows,
+)
 
 
 def enumerate_connected_groups(
@@ -240,12 +245,10 @@ def best_region_for_seed(
     covered: Set[int] = set(network.poi(seed_poi).keywords)
     chosen: Set[int] = {seed_poi}
 
-    # Incremental matching: track each member's current score and bump
-    # it only for newly covered topics, so the scan costs O(new topics)
-    # per added POI instead of re-scoring every member from scratch.
-    scores = [match_score(w, covered) for w in group_interests]
-    unmatched = sum(1 for s in scores if s < theta)
-    if unmatched == 0:
+    # Only members still below theta are re-scored as coverage grows; a
+    # matched member stays matched (Lemma 2's monotonicity).
+    unmatched = [w for w in group_interests if match_score(w, covered) < theta]
+    if not unmatched:
         return frozenset(chosen), dmax[seed_poi]
     for pid in ordered:
         if pid in chosen:
@@ -255,12 +258,8 @@ def best_region_for_seed(
             continue
         chosen.add(pid)
         covered |= fresh
-        for idx, w in enumerate(group_interests):
-            gained = sum(float(w[f]) for f in fresh)
-            if scores[idx] < theta and scores[idx] + gained >= theta:
-                unmatched -= 1
-            scores[idx] += gained
-        if unmatched == 0:
+        unmatched = [w for w in unmatched if match_score(w, covered) < theta]
+        if not unmatched:
             max_distance = max(dmax[p] for p in chosen)
             return frozenset(chosen), max_distance
     return None
@@ -341,7 +340,9 @@ class GroupState:
       such pairs resolve in O(1) without any prefix scan.
     """
 
-    __slots__ = ("frozen", "interests", "gmax", "seed_feasible", "theta")
+    __slots__ = (
+        "frozen", "interests", "tol", "gmax", "seed_feasible", "theta",
+    )
 
     def __init__(
         self,
@@ -355,6 +356,8 @@ class GroupState:
         self.interests = np.stack(
             [kernel.interest_vector(uid) for uid in members]
         )
+        #: bounds the matmul rounding of every member's Match_Score
+        self.tol = kernel.match_tol
         rows = [kernel.member_row(uid) for uid in members]
         self.gmax = rows[0] if len(rows) == 1 else np.maximum.reduce(rows)
         # Seed-only matching: the seed theta-matches the whole group iff
@@ -418,6 +421,11 @@ class PairKernel:
         self._user_positions: Optional[PositionArrays] = None
         self._user_index: Optional[Dict[int, int]] = None
         self._interest_vectors: Dict[int, np.ndarray] = {}
+        #: the largest matmul Match_Score rounding bound
+        #: (:func:`~repro.core.scores.match_score_tolerance`) over every
+        #: interest vector handed out so far; any bound at least a
+        #: member's keeps the theta decisions exact
+        self.match_tol = 0.0
         self._user_feasible: Dict[Tuple[int, float], np.ndarray] = {}
 
     # -- cached per-entity arrays -------------------------------------
@@ -457,6 +465,7 @@ class PairKernel:
             )
             vec.flags.writeable = False
             self._interest_vectors[uid] = vec
+            self.match_tol = max(self.match_tol, match_score_tolerance(vec))
         return vec
 
     def user_poi_feasible(self, uid: int, theta: float) -> np.ndarray:
@@ -468,7 +477,11 @@ class PairKernel:
         key = (uid, theta)
         arr = self._user_feasible.get(key)
         if arr is None:
-            arr = (self.keywords_f8 @ self.interest_vector(uid)) >= theta
+            w = self.interest_vector(uid)[None, :]
+            arr = theta_matched_rows(
+                self.keywords_f8 @ w.T, self.keywords, w, theta,
+                self.match_tol,
+            )
             arr.flags.writeable = False
             self._user_feasible[key] = arr
         return arr
@@ -533,9 +546,9 @@ class PairKernel:
                 )
             # Full-ball gate: the scan below can only cover what the
             # whole ball covers; if that fails a member, no prefix can
-            # succeed.
+            # succeed. Rounding-close calls pass on to the exact scan.
             full_scores = state.interests @ ball.full_cover_f8
-            if full_scores.min() < theta:
+            if full_scores.min() < theta - state.tol:
                 return None
         dmax = state.gmax[ball.dense_idx]
         order = np.argsort(dmax, kind="stable")
@@ -544,12 +557,13 @@ class PairKernel:
         cum = np.logical_or.accumulate(kw_ordered, axis=0)
         cum |= seed_row
         scores = cum.astype(np.float64) @ state.interests.T
-        feasible = scores.min(axis=1) >= theta
-        if not feasible.any():
+        cut = first_theta_matched_row(
+            scores, cum, state.interests, theta, state.tol
+        )
+        if cut < 0:
             # Unreachable when the gate and the scan agree exactly;
             # kept as a defensive consistent answer (ball infeasible).
             return None
-        cut = int(np.argmax(feasible))
         # A scanned POI joins R only when it contributes fresh topics
         # relative to the coverage before it (seed topics included) —
         # the minimal-prefix rule of the scalar reference.

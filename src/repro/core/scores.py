@@ -25,10 +25,13 @@ from ..index.bitvector import KeywordBitVector
 from ..socialnet.interests import interest_score
 
 __all__ = [
+    "first_theta_matched_row",
     "interest_score",
     "match_score",
     "match_score_bitvector",
+    "match_score_tolerance",
     "min_match_over_users",
+    "theta_matched_rows",
 ]
 
 
@@ -44,6 +47,73 @@ def match_score(interests: np.ndarray, keywords: AbstractSet[int]) -> float:
         if f in keywords:
             total += float(weight)
     return total
+
+
+def match_score_tolerance(interests: np.ndarray) -> float:
+    """How far a matmul ``Match_Score`` may sit from :func:`match_score`.
+
+    A matmul may add a user's covered weights in any order, and any
+    order of a ``d``-term sum lies within ``d·ε/2·‖w‖₁`` of the exact
+    value, so two orders differ by less than ``2·d·ε·‖w‖₁``. Returns the
+    largest such bound over the users in ``interests`` (one vector, or
+    one ``(k, d)`` row per user).
+    """
+    d = interests.shape[-1]
+    return 2.0 * d * float(np.finfo(np.float64).eps) * float(
+        np.abs(interests).sum(axis=-1).max()
+    )
+
+
+def _row_matched(cover: np.ndarray, interests: np.ndarray, theta: float) -> bool:
+    covered = set(np.flatnonzero(cover).tolist())
+    return all(match_score(w, covered) >= theta for w in interests)
+
+
+def theta_matched_rows(
+    scores: np.ndarray,
+    covers: np.ndarray,
+    interests: np.ndarray,
+    theta: float,
+    tol: float,
+) -> np.ndarray:
+    """Per topic cover: does every user reach ``theta``, as
+    :func:`match_score` decides it?
+
+    ``scores`` is the ``(m, k)`` matmul ``covers @ interests.T`` of
+    ``m`` topic-cover rows against ``k`` users and ``tol`` is
+    :func:`match_score_tolerance` of ``interests``. A row whose lowest
+    score is farther than ``tol`` from ``theta`` keeps the matmul's
+    decision; the rare rows within it are re-scored with
+    :func:`match_score`'s topic-ordered sum, so a vectorized gate never
+    disagrees with the scalar one at a boundary.
+    """
+    mins = scores.min(axis=1)
+    matched = mins >= theta
+    for i in np.flatnonzero(np.abs(mins - theta) <= tol).tolist():
+        matched[i] = _row_matched(covers[i], interests, theta)
+    return matched
+
+
+def first_theta_matched_row(
+    scores: np.ndarray,
+    covers: np.ndarray,
+    interests: np.ndarray,
+    theta: float,
+    tol: float,
+) -> int:
+    """Index of the first row :func:`theta_matched_rows` accepts, or -1.
+
+    Scans the row minima in Python and stops at the first decided
+    match, which beats the vector form on the short, usually early-
+    matching prefix scans of the refinement kernel.
+    """
+    lo, hi = theta - tol, theta + tol
+    for i, low in enumerate(scores.min(axis=1).tolist()):
+        if low < lo:
+            continue
+        if low > hi or _row_matched(covers[i], interests, theta):
+            return i
+    return -1
 
 
 def match_score_bitvector(

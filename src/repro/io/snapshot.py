@@ -58,7 +58,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
 import mmap
 import os
 import struct
@@ -68,6 +67,7 @@ from typing import Dict, Iterator, List, Optional, Tuple, Union
 
 import numpy as np
 
+from ..config import DISTANCE_ENGINES
 from ..core.algorithm import GPSSNQueryProcessor, PruningToggles
 from ..exceptions import (
     GraphConstructionError,
@@ -82,8 +82,8 @@ from ..index.social_index import SocialIndex
 from ..network import SpatialSocialNetwork
 from ..obs import Recorder
 from ..roadnet.ch import ContractionHierarchy
-from ..roadnet.csr import CSRGraph
-from ..roadnet.engines import CHEngine, CSREngine
+from ..roadnet.csr import CSRGraph, DenseDistanceView
+from ..roadnet.engines import CHEngine
 from ..roadnet.graph import NetworkPosition, RoadNetwork
 from ..roadnet.poi import POI
 from ..socialnet.graph import SocialNetwork, User
@@ -112,44 +112,6 @@ def _le(arr: np.ndarray, dtype: str) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# dense pivot distance maps
-# ---------------------------------------------------------------------------
-
-
-class _DenseDistanceMap:
-    """A per-pivot distance row masquerading as the Dijkstra dict.
-
-    :class:`~repro.index.pivots.RoadPivotIndex` consumers only call
-    ``.get(vertex_id, default)`` (via ``position_distance_from_map``);
-    this answers that by binary search over the sorted id array, with
-    ``inf`` entries reading as "absent" exactly like the dict kernel's
-    unreached vertices.
-    """
-
-    __slots__ = ("_ids", "_row")
-
-    def __init__(self, ids: np.ndarray, row: np.ndarray) -> None:
-        self._ids = ids
-        self._row = row
-
-    def get(self, vid: int, default=None):
-        pos = int(np.searchsorted(self._ids, vid))
-        if pos >= len(self._ids) or int(self._ids[pos]) != vid:
-            return default
-        value = float(self._row[pos])
-        return default if math.isinf(value) else value
-
-    def __getitem__(self, vid: int) -> float:
-        value = self.get(vid)
-        if value is None:
-            raise KeyError(vid)
-        return value
-
-    def __contains__(self, vid: int) -> bool:
-        return self.get(vid) is not None
-
-
-# ---------------------------------------------------------------------------
 # the frozen road network
 # ---------------------------------------------------------------------------
 
@@ -159,7 +121,7 @@ class FrozenRoadNetwork(RoadNetwork):
 
     No per-vertex Python structures are built up front: id lookups
     binary-search the sorted id array, and the dict-of-dicts adjacency
-    the plain Dijkstra wants is materialized lazily one vertex at a
+    ``neighbors`` returns is materialized lazily one vertex at a
     time. The base class's ``_coords``/``_adj`` dicts are deliberately
     *not* created, so a base method this class failed to override fails
     loudly (AttributeError) instead of silently answering from empty
@@ -518,16 +480,19 @@ def freeze(
     # -- road pivot distance rows -------------------------------------------
     document = None
     if processor is not None:
-        index_of = {int(vid): i for i, vid in enumerate(ids.tolist())}
         pivots = [int(p) for p in processor.road_pivots.pivots]
         rows = np.full((len(pivots), n), np.inf, dtype="<f8")
         for k, dist_map in enumerate(processor.road_pivots._maps):
-            if isinstance(dist_map, _DenseDistanceMap):
-                rows[k] = np.asarray(dist_map._row)
-            else:
-                row = rows[k]
-                for vid, d in dist_map.items():
-                    row[index_of[int(vid)]] = d
+            if isinstance(dist_map, DenseDistanceView):
+                vids, dists = dist_map.ids, dist_map.row
+            else:  # the small-graph kernel's dict
+                count = len(dist_map)
+                vids = np.fromiter(dist_map.keys(), dtype=np.int64, count=count)
+                dists = np.fromiter(
+                    dist_map.values(), dtype=np.float64, count=count
+                )
+            # One scatter from the map's id order to the sorted one.
+            rows[k][np.searchsorted(ids, vids)] = dists
         sections["pivot/vertices"] = np.asarray(pivots, dtype="<i8")
         sections["pivot/rows"] = rows
         document = processor_to_document(processor)
@@ -731,6 +696,17 @@ class FrozenSnapshot:
                 f"{path}: unsupported snapshot version "
                 f"{header.get('version')!r}"
             )
+        meta = header.get("meta", {})
+        build_args = meta.get("build_args") or {}
+        engines = [meta.get("distance_engine")]
+        if build_args.get("distance_engine") is not None:
+            engines.append(build_args["distance_engine"])
+        for engine in engines:
+            if engine not in DISTANCE_ENGINES:
+                raise SnapshotFormatError(
+                    f"{path}: unknown distance engine {engine!r} "
+                    f"(expected one of {DISTANCE_ENGINES})"
+                )
         header_hash = hashlib.sha256(blob).hexdigest()
         mm = np.memmap(path, dtype=np.uint8, mode="r")
         sections: Dict[str, np.ndarray] = {}
@@ -747,7 +723,7 @@ class FrozenSnapshot:
             sections[entry["name"]] = arr
         return cls(
             path=path,
-            meta=header.get("meta", {}),
+            meta=meta,
             sections=sections,
             header_hash=header_hash,
             bytes_mapped=int(size),
@@ -835,7 +811,7 @@ class FrozenSnapshot:
         network = SpatialSocialNetwork(
             road, social, pois,
             num_keywords=int(meta["num_keywords"]),
-            distance_engine=meta.get("distance_engine") or "plain",
+            distance_engine=meta["distance_engine"],
             validate=False,
         )
         # Reproduce the frozen-time version arithmetic exactly: the road
@@ -846,27 +822,26 @@ class FrozenSnapshot:
         )
 
         engine = network.distances.engine
-        if isinstance(engine, CSREngine):
-            graph = CSRGraph.from_arrays(
-                s["road/ids"], s["road/indptr"], s["road/indices"],
-                s["road/weights"], road_version=road.version,
+        graph = CSRGraph.from_arrays(
+            s["road/ids"], s["road/indptr"], s["road/indices"],
+            s["road/weights"], road_version=road.version,
+        )
+        if isinstance(engine, CHEngine) and "ch/rank" in s:
+            ch_meta = meta.get("ch") or {}
+            hierarchy = ContractionHierarchy(
+                n=len(s["road/ids"]),
+                rank=s["ch/rank"],
+                up_indptr=s["ch/up_indptr"],
+                up_indices=s["ch/up_indices"],
+                up_weights=s["ch/up_weights"],
+                shortcuts_added=int(ch_meta.get("shortcuts_added", 0)),
+                preprocess_seconds=float(
+                    ch_meta.get("preprocess_seconds", 0.0)
+                ),
             )
-            if isinstance(engine, CHEngine) and "ch/rank" in s:
-                ch_meta = meta.get("ch") or {}
-                hierarchy = ContractionHierarchy(
-                    n=len(s["road/ids"]),
-                    rank=s["ch/rank"],
-                    up_indptr=s["ch/up_indptr"],
-                    up_indices=s["ch/up_indices"],
-                    up_weights=s["ch/up_weights"],
-                    shortcuts_added=int(ch_meta.get("shortcuts_added", 0)),
-                    preprocess_seconds=float(
-                        ch_meta.get("preprocess_seconds", 0.0)
-                    ),
-                )
-                engine.adopt(graph, hierarchy)
-            else:
-                engine.adopt_graph(graph)
+            engine.adopt(graph, hierarchy)
+        else:
+            engine.adopt_graph(graph)
         return network
 
     def attach(self, toggles=None):
@@ -881,13 +856,16 @@ class FrozenSnapshot:
         document = self.meta.get("index")
         if not document:
             return network, None
-        ids = self.sections["road/ids"]
+        graph = network.distances.engine.graph()  # the adopted arena CSR
         pivot_ids = [int(p) for p in self.sections["pivot/vertices"]]
         rows = self.sections["pivot/rows"]
         road_pivots = RoadPivotIndex.from_maps(
             network.road,
             pivot_ids,
-            [_DenseDistanceMap(ids, rows[k]) for k in range(len(pivot_ids))],
+            [
+                DenseDistanceView(graph.ids, graph.index_of, rows[k])
+                for k in range(len(pivot_ids))
+            ],
         )
         processor = processor_from_document(
             document,

@@ -10,8 +10,8 @@ Public surface:
 * :class:`~repro.roadnet.shortest_path.DistanceOracle` — cached
   ``dist_RN`` distances between network positions;
 * the pluggable distance engines (:mod:`repro.roadnet.engines`): the
-  plain Dijkstra, the :class:`~repro.roadnet.csr.CSRGraph` array kernel,
-  and the :class:`~repro.roadnet.ch.ContractionHierarchy`.
+  :class:`~repro.roadnet.csr.CSRGraph` array kernel (the default) and
+  the :class:`~repro.roadnet.ch.ContractionHierarchy` built on it.
 """
 
 from .ch import ContractionHierarchy
@@ -20,27 +20,21 @@ from .engines import (
     CHEngine,
     CSREngine,
     DistanceEngine,
-    ENGINE_NAMES,
-    PlainEngine,
     make_engine,
 )
 from .graph import NetworkPosition, RoadNetwork
 from .poi import POI
-from .shortest_path import DistanceOracle, bidirectional_dijkstra, dijkstra
+from .shortest_path import DistanceOracle
 
 __all__ = [
     "RoadNetwork",
     "NetworkPosition",
     "POI",
     "DistanceOracle",
-    "dijkstra",
-    "bidirectional_dijkstra",
     "CSRGraph",
     "ContractionHierarchy",
     "DistanceEngine",
-    "PlainEngine",
     "CSREngine",
     "CHEngine",
     "make_engine",
-    "ENGINE_NAMES",
 ]

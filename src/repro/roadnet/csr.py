@@ -89,14 +89,16 @@ class DenseDistanceView(Mapping):
     matching the dict the Dijkstra kernels return. Iteration walks the
     reachable vertices only, so bounded searches stay proportional to
     the searched neighbourhood. ``row`` exposes the dense array for
-    vectorized consumers (internal-index order, ``inf`` = unreached).
+    vectorized consumers and ``ids`` the vertex id of each of its
+    entries (``row[i]`` is the distance to ``ids[i]``, ``inf`` =
+    unreached).
     """
 
-    __slots__ = ("row", "_ids", "_index")
+    __slots__ = ("row", "ids", "_index")
 
     def __init__(self, ids, index, row: np.ndarray) -> None:
         self.row = row
-        self._ids = ids
+        self.ids = ids
         self._index = index
 
     def __getitem__(self, vid: int) -> float:
@@ -125,12 +127,12 @@ class DenseDistanceView(Mapping):
         return int(self._finite().size)
 
     def __iter__(self):
-        ids = self._ids
+        ids = self.ids
         for i in self._finite().tolist():
             yield int(ids[i])
 
     def items(self):
-        ids, row = self._ids, self.row
+        ids, row = self.ids, self.row
         return (
             (int(ids[i]), float(row[i])) for i in self._finite().tolist()
         )
@@ -388,8 +390,8 @@ class CSRGraph:
         seeds: Iterable[Tuple[int, float]],
         max_distance: float = math.inf,
     ) -> Dict[int, float]:
-        """Seeded SSSP over original vertex ids (drop-in for the dict
-        kernel's :func:`~repro.roadnet.shortest_path.multi_source_dijkstra`).
+        """Seeded SSSP over original vertex ids: ``vertex_id -> distance``
+        for every vertex within ``max_distance`` (unreached ones absent).
         """
         internal = self.internal_seeds(seeds)
         if self._use_scipy():

@@ -6,11 +6,7 @@ objective, and the traversal/refinement distance pruning. A
 :class:`DistanceEngine` is the strategy object that answers those
 requests; three implementations trade preprocessing for query speed:
 
-``plain``
-    The seed behavior: binary-heap Dijkstra over the dict-of-dicts
-    adjacency. No preprocessing, no staleness to manage.
-
-``csr``
+``csr`` (the default)
     A :class:`~repro.roadnet.csr.CSRGraph` snapshot. Full and bounded
     SSSP sweeps run on the flat-array kernel (or scipy's C Dijkstra on
     larger graphs); point-to-point queries stop as soon as both target
@@ -22,6 +18,16 @@ requests; three implementations trade preprocessing for query speed:
     search (microseconds after preprocessing); bounded region sweeps —
     where a truncated search is already cheap and the hierarchy cannot
     help — fall through to the CSR kernel.
+
+``lazy-ch``
+    The hierarchy with lazy invalidation for mutating networks: while
+    stale, point-to-point queries fall back to the CSR kernel and the
+    re-contraction waits for a staleness bound.
+
+All three share one Dijkstra, the CSR kernel, so every single-source
+search is computed the same way whichever engine is configured. The
+dict-walking Dijkstra they are validated against lives in the test
+suite as an explicit oracle.
 
 Engines snapshot the road network lazily and rebuild whenever its
 version counter moves, so a mutated network never serves stale
@@ -41,16 +47,7 @@ from ..exceptions import InvalidParameterError
 from .ch import ContractionHierarchy
 from .csr import CSRGraph
 from .graph import NetworkPosition, RoadNetwork
-from .shortest_path import (
-    direct_edge_distance,
-    multi_source_dijkstra,
-    position_distance_from_map,
-    position_seeds,
-)
-
-#: The selectable engine names (single source of truth lives in
-#: :data:`repro.config.DISTANCE_ENGINES`), in ascending preprocessing cost.
-ENGINE_NAMES: Tuple[str, ...] = DISTANCE_ENGINES
+from .shortest_path import direct_edge_distance
 
 
 class DistanceEngine:
@@ -105,29 +102,6 @@ class DistanceEngine:
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(name={self.name!r})"
-
-
-class PlainEngine(DistanceEngine):
-    """The seed dict-walking Dijkstra, unchanged (the correctness oracle)."""
-
-    name = "plain"
-
-    def sssp(
-        self,
-        seeds: Iterable[Tuple[int, float]],
-        max_distance: float = math.inf,
-    ) -> Dict[int, float]:
-        return multi_source_dijkstra(self.road, seeds, max_distance)
-
-    def point_to_point(
-        self, pos_a: NetworkPosition, pos_b: NetworkPosition
-    ) -> float:
-        # Exactly the oracle's cache-miss path: one full seeded Dijkstra
-        # from pos_a, then endpoint lookups for pos_b.
-        dist_map = multi_source_dijkstra(
-            self.road, position_seeds(self.road, pos_a)
-        )
-        return position_distance_from_map(self.road, dist_map, pos_b, pos_a)
 
 
 class CSREngine(DistanceEngine):
@@ -356,16 +330,16 @@ class LazyCHEngine(CHEngine):
         return out
 
 
+_ENGINES = {cls.name: cls for cls in (CSREngine, CHEngine, LazyCHEngine)}
+
+
 def make_engine(name: str, road: RoadNetwork) -> DistanceEngine:
-    """Construct a distance engine by name (see :data:`ENGINE_NAMES`)."""
-    if name == "plain":
-        return PlainEngine(road)
-    if name == "csr":
-        return CSREngine(road)
-    if name == "ch":
-        return CHEngine(road)
-    if name == "lazy-ch":
-        return LazyCHEngine(road)
-    raise InvalidParameterError(
-        f"unknown distance engine {name!r}; expected one of {ENGINE_NAMES}"
-    )
+    """Construct a distance engine by name (see
+    :data:`repro.config.DISTANCE_ENGINES`)."""
+    engine_cls = _ENGINES.get(name)
+    if engine_cls is None:
+        raise InvalidParameterError(
+            f"unknown distance engine {name!r}; "
+            f"expected one of {DISTANCE_ENGINES}"
+        )
+    return engine_cls(road)

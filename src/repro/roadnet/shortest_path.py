@@ -1,4 +1,4 @@
-"""Shortest-path machinery for road-network distances (``dist_RN``).
+"""Shortest-path plumbing for road-network distances (``dist_RN``).
 
 The paper's query processing needs three flavours of network distance:
 
@@ -10,24 +10,22 @@ The paper's query processing needs three flavours of network distance:
   homes and POIs), served by :class:`DistanceOracle` with memoized
   per-source searches.
 
-The searches here are plain binary-heap Dijkstra over the dict-of-dicts
-adjacency; edge weights are road segment lengths. Faster engines (a CSR
-array kernel, a contraction hierarchy) live in
-:mod:`repro.roadnet.engines` and plug into :class:`DistanceOracle` via
-its ``engine`` parameter — the functions in this module stay the
-reference ("plain") implementation every engine is validated against.
+The searches themselves belong to the network's configured
+:class:`~repro.roadnet.engines.DistanceEngine`. This module holds what
+sits around them: seeding a search at an on-edge position, reading a
+position's distance off a vertex-distance map (scalar and vectorized),
+the dense vertex remap the vectorized kernels share, and the memoizing
+oracle.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 from collections import OrderedDict
 from typing import (
     TYPE_CHECKING,
     Dict,
     Hashable,
-    Iterable,
     List,
     Optional,
     Sequence,
@@ -37,66 +35,10 @@ from typing import (
 import numpy as np
 
 from ..config import DEFAULT_DISTANCE_CACHE_SIZE
-from ..exceptions import UnknownEntityError
 from .graph import NetworkPosition, RoadNetwork
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from .engines import DistanceEngine
-
-
-def dijkstra(
-    road: RoadNetwork,
-    source: int,
-    max_distance: float = math.inf,
-) -> Dict[int, float]:
-    """Single-source shortest path distances from vertex ``source``.
-
-    Args:
-        road: the road network.
-        source: starting vertex id.
-        max_distance: stop expanding once settled distances exceed this
-            bound (the returned map contains only vertices within it).
-
-    Returns:
-        Mapping ``vertex -> distance`` for every reachable vertex within
-        ``max_distance``.
-    """
-    if not road.has_vertex(source):
-        raise UnknownEntityError(f"unknown road vertex {source}")
-    return multi_source_dijkstra(road, [(source, 0.0)], max_distance)
-
-
-def multi_source_dijkstra(
-    road: RoadNetwork,
-    sources: Iterable[Tuple[int, float]],
-    max_distance: float = math.inf,
-) -> Dict[int, float]:
-    """Dijkstra from several ``(vertex, initial_distance)`` seeds.
-
-    The multi-seed form lets a search start *on an edge*: a network
-    position ``(u, v, offset)`` seeds ``u`` with ``offset`` and ``v`` with
-    ``edge_length - offset``.
-    """
-    dist: Dict[int, float] = {}
-    heap: List[Tuple[float, int]] = []
-    for vertex, d0 in sources:
-        if not road.has_vertex(vertex):
-            raise UnknownEntityError(f"unknown road vertex {vertex}")
-        if d0 <= max_distance and d0 < dist.get(vertex, math.inf):
-            dist[vertex] = d0
-            heapq.heappush(heap, (d0, vertex))
-    settled: set = set()
-    while heap:
-        d, node = heapq.heappop(heap)
-        if node in settled or d > dist.get(node, math.inf):
-            continue
-        settled.add(node)
-        for nbr, length in road.neighbors(node).items():
-            nd = d + length
-            if nd <= max_distance and nd < dist.get(nbr, math.inf):
-                dist[nbr] = nd
-                heapq.heappush(heap, (nd, nbr))
-    return dist
 
 
 def position_seeds(
@@ -282,27 +224,22 @@ class DistanceOracle:
     ``cache_size`` (``None`` picks
     :data:`repro.config.DEFAULT_DISTANCE_CACHE_SIZE`).
 
-    The search itself is delegated to a
-    :class:`~repro.roadnet.engines.DistanceEngine` (default: the plain
-    dict-walking Dijkstra); :meth:`point_to_point` additionally exposes
-    the engine's one-shot distance path for callers that will not reuse
-    a source map.
+    The search itself is delegated to ``engine``, a
+    :class:`~repro.roadnet.engines.DistanceEngine` over the road network
+    the oracle serves; :meth:`point_to_point` additionally exposes the
+    engine's one-shot distance path for callers that will not reuse a
+    source map.
     """
 
     def __init__(
         self,
-        road: RoadNetwork,
+        engine: "DistanceEngine",
         cache_size: Optional[int] = None,
-        engine: Optional["DistanceEngine"] = None,
     ) -> None:
-        self.road = road
+        self.road = engine.road
         self.cache_size = (
             DEFAULT_DISTANCE_CACHE_SIZE if cache_size is None else cache_size
         )
-        if engine is None:
-            from .engines import PlainEngine  # deferred: engines imports us
-
-            engine = PlainEngine(road)
         self.engine = engine
         self._cache: "OrderedDict[Hashable, Dict[int, float]]" = OrderedDict()
         # Dense companions to cached maps, for the vectorized kernels:
@@ -415,9 +352,7 @@ class DistanceOracle:
         """One exact ``dist_RN`` via the engine's direct path, uncached.
 
         Under the ``ch`` engine this is a microsecond-scale bidirectional
-        upward search; under ``csr`` a target-truncated kernel sweep;
-        under ``plain`` a full Dijkstra (the cache-miss cost of
-        :meth:`distance` without polluting the cache).
+        upward search; under ``csr`` a target-truncated kernel sweep.
         """
         return self.engine.point_to_point(pos_a, pos_b)
 
@@ -425,77 +360,3 @@ class DistanceOracle:
         self._cache.clear()
         self._dense_cache.clear()
 
-
-def bidirectional_dijkstra(
-    road: RoadNetwork,
-    source: int,
-    target: int,
-) -> float:
-    """Point-to-point shortest distance via bidirectional search.
-
-    Expands two Dijkstra frontiers (from ``source`` and ``target``)
-    alternately, stopping once the sum of the two settled radii exceeds
-    the best meeting-point distance found — the classic optimality
-    condition. Returns ``math.inf`` when the vertices are disconnected.
-
-    Roughly halves the settled vertex count versus a unidirectional
-    search on road-like graphs; used where a single point-to-point
-    distance is needed without wanting the full SSSP map.
-    """
-    if not road.has_vertex(source):
-        raise UnknownEntityError(f"unknown road vertex {source}")
-    if not road.has_vertex(target):
-        raise UnknownEntityError(f"unknown road vertex {target}")
-    if source == target:
-        return 0.0
-
-    dist_f: Dict[int, float] = {source: 0.0}
-    dist_b: Dict[int, float] = {target: 0.0}
-    heap_f: List[Tuple[float, int]] = [(0.0, source)]
-    heap_b: List[Tuple[float, int]] = [(0.0, target)]
-    settled_f: set = set()
-    settled_b: set = set()
-    best = math.inf
-
-    def relax(
-        heap: List[Tuple[float, int]],
-        dist: Dict[int, float],
-        settled: set,
-        other_dist: Dict[int, float],
-    ) -> float:
-        """Settle one vertex on one side; returns its distance (or inf)."""
-        nonlocal best
-        while heap:
-            d, node = heapq.heappop(heap)
-            if node in settled or d > dist.get(node, math.inf):
-                continue
-            settled.add(node)
-            for nbr, length in road.neighbors(node).items():
-                nd = d + length
-                if nd < dist.get(nbr, math.inf):
-                    dist[nbr] = nd
-                    heapq.heappush(heap, (nd, nbr))
-                if nbr in other_dist:
-                    meeting = nd + other_dist[nbr]
-                    if meeting < best:
-                        best = meeting
-            if node in other_dist:
-                meeting = d + other_dist[node]
-                if meeting < best:
-                    best = meeting
-            return d
-        return math.inf
-
-    radius_f = radius_b = 0.0
-    while heap_f or heap_b:
-        if radius_f + radius_b >= best:
-            break
-        if (heap_f and not heap_b) or (
-            heap_f and heap_b and heap_f[0][0] <= heap_b[0][0]
-        ):
-            radius_f = relax(heap_f, dist_f, settled_f, dist_b)
-        elif heap_b:
-            radius_b = relax(heap_b, dist_b, settled_b, dist_f)
-        else:
-            break
-    return best

@@ -6,6 +6,7 @@ import pickle
 
 import pytest
 
+from repro.config import DEFAULT_DISTANCE_ENGINE, DISTANCE_ENGINES
 from repro.core.query import GPSSNQuery
 from repro.exceptions import InvalidParameterError
 from repro.io.snapshot import freeze
@@ -49,7 +50,7 @@ class TestNetworkSnapshot:
         finally:
             snapshot.discard()
 
-    @pytest.mark.parametrize("engine", ["plain", "csr", "ch"])
+    @pytest.mark.parametrize("engine", DISTANCE_ENGINES)
     def test_engine_choice_survives_restore(self, small_uni, engine):
         small_uni.use_distance_engine(engine)
         try:
@@ -60,7 +61,7 @@ class TestNetworkSnapshot:
                 snapshot.discard()
             assert network.distances.engine.name == engine
         finally:
-            small_uni.use_distance_engine("plain")
+            small_uni.use_distance_engine(DEFAULT_DISTANCE_ENGINE)
 
     def test_ch_preprocessing_rides_in_snapshot(self, small_uni, monkeypatch):
         from repro.roadnet.ch import ContractionHierarchy
@@ -84,7 +85,7 @@ class TestNetworkSnapshot:
                     getattr(built, name)
                 ), name
         finally:
-            small_uni.use_distance_engine("plain")
+            small_uni.use_distance_engine(DEFAULT_DISTANCE_ENGINE)
 
 
 class TestArenaLifecycle:

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from repro import GPSSNQuery, GPSSNQueryProcessor, uni_dataset
+from repro.config import DEFAULT_DISTANCE_ENGINE
 from repro.core.metrics import InterestMetric
 from repro.exceptions import IndexStateError, SnapshotFormatError
 from repro.io.snapshot import FrozenSnapshot, freeze
@@ -119,11 +120,11 @@ class TestDistanceEnginePersistence:
         assert a.users == b.users and a.pois == b.pois
         assert repr(a.max_distance) == repr(b.max_distance)
 
-    def test_plain_store_keeps_plain_engine(self, setup):
+    def test_default_store_keeps_default_engine(self, setup):
         _network, _processor, path = setup
         attached, revived = _attach(path)
-        assert attached.distances.engine.name == "plain"
-        assert revived.network.distances.engine.name == "plain"
+        assert attached.distances.engine.name == DEFAULT_DISTANCE_ENGINE
+        assert revived.network.distances.engine.name == DEFAULT_DISTANCE_ENGINE
 
 
 class TestValidation:

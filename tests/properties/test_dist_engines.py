@@ -1,9 +1,12 @@
-"""Property tests: every distance engine agrees with plain Dijkstra.
+"""Property tests: every distance engine agrees with the dict Dijkstra.
 
-The plain dict-walking Dijkstra is the correctness oracle; the CSR
-kernel and the contraction hierarchy must reproduce it to within
-floating-point noise (1e-9) on arbitrary road networks, arbitrary
-on-edge positions, truncation bounds, and disconnected pairs.
+The dict-walking Dijkstra (:class:`tests.oracles.DictDijkstraEngine`)
+is the correctness oracle; the CSR kernel and the contraction hierarchy
+must reproduce it to within floating-point noise (1e-9) on arbitrary
+road networks, arbitrary on-edge positions, truncation bounds, and
+disconnected pairs. Pivot selection, which runs on the configured
+engine, must pick the same pivots and the same pivot distances, bit for
+bit, on both sides of the scipy threshold.
 """
 
 import math
@@ -14,13 +17,10 @@ from hypothesis import given, settings, strategies as st
 
 from repro import NetworkPosition, RoadNetwork
 from repro.datagen.synthetic import generate_road_network
-from repro.roadnet.csr import CSRGraph
+from repro.index.pivots import select_pivots_road
+from repro.roadnet.csr import SCIPY_MIN_VERTICES, CSRGraph
 from repro.roadnet.engines import make_engine
-from repro.roadnet.shortest_path import (
-    bidirectional_dijkstra,
-    dijkstra,
-    multi_source_dijkstra,
-)
+from tests.oracles import DictDijkstraEngine, multi_source_dijkstra
 
 ATOL = 1e-9
 
@@ -65,7 +65,9 @@ class TestEngineAgreement:
     def test_point_to_point_all_engines(self, seed):
         rng = np.random.default_rng(seed)
         road = generate_road_network(50, rng)
-        engines = [make_engine(name, road) for name in ("plain", "csr", "ch")]
+        engines = [DictDijkstraEngine(road)] + [
+            make_engine(name, road) for name in ("csr", "ch")
+        ]
         for a, b in zip(
             random_positions(road, rng, 8), random_positions(road, rng, 8)
         ):
@@ -82,8 +84,11 @@ class TestEngineAgreement:
         b = a
         while (b.u < 12) == (a.u < 12):  # resample until components differ
             b = random_positions(road, rng, 1)[0]
-        for name in ("plain", "csr", "ch"):
-            assert math.isinf(make_engine(name, road).point_to_point(a, b))
+        engines = [DictDijkstraEngine(road)] + [
+            make_engine(name, road) for name in ("csr", "ch")
+        ]
+        for engine in engines:
+            assert math.isinf(engine.point_to_point(a, b))
 
     @settings(max_examples=12, deadline=None)
     @given(seed=st.integers(0, 500), bound=st.floats(0.0, 60.0))
@@ -102,27 +107,27 @@ class TestEngineAgreement:
             assert ours[v] == pytest.approx(d, abs=ATOL)
 
 
-class TestBidirectional:
-    @settings(max_examples=15, deadline=None)
-    @given(seed=st.integers(0, 500))
-    def test_matches_dijkstra(self, seed):
+class TestPivotsOnEngines:
+    @settings(max_examples=12, deadline=None)
+    @given(
+        seed=st.integers(0, 500),
+        # one network on the pure-Python kernel, one on scipy's
+        size=st.sampled_from([SCIPY_MIN_VERTICES // 4, SCIPY_MIN_VERTICES + 44]),
+        split=st.booleans(),
+        engine=st.sampled_from(["csr", "ch", "lazy-ch"]),
+    )
+    def test_pivots_match_dict_dijkstra(self, seed, size, split, engine):
         rng = np.random.default_rng(seed)
-        road = generate_road_network(50, rng)
-        ids = list(road.vertices())
-        source = ids[int(rng.integers(len(ids)))]
-        reference = dijkstra(road, source)
-        for _ in range(5):
-            target = ids[int(rng.integers(len(ids)))]
-            got = bidirectional_dijkstra(road, source, target)
-            want = reference.get(target, math.inf)
-            if math.isinf(want):
-                assert math.isinf(got)
-            else:
-                assert got == pytest.approx(want, abs=ATOL)
-
-    @settings(max_examples=8, deadline=None)
-    @given(seed=st.integers(0, 500))
-    def test_disconnected_is_inf(self, seed):
-        rng = np.random.default_rng(seed)
-        road = two_component_road(rng)
-        assert math.isinf(bidirectional_dijkstra(road, 0, 12))
+        if split:
+            road = two_component_road(rng, half=size // 2)
+        else:
+            road = generate_road_network(size, rng)
+        expected = select_pivots_road(
+            DictDijkstraEngine(road), 3, np.random.default_rng(seed)
+        )
+        got = select_pivots_road(
+            make_engine(engine, road), 3, np.random.default_rng(seed)
+        )
+        assert got.pivots == expected.pivots
+        for pos in random_positions(road, rng, 12):
+            assert got.distances(pos) == expected.distances(pos)

@@ -27,6 +27,7 @@ from repro.dynamic import (
 from repro.dynamic.continuous import CONTINUOUS_PHASE
 from repro.obs import ExplainRecorder
 from repro.obs.registry import Recorder
+from tests.oracles import use_engine
 
 BUILD = dict(num_road_pivots=2, num_social_pivots=2)
 
@@ -48,9 +49,9 @@ def standing_entries(network):
 
 def fresh_lines(network, entries, seed, engine=None):
     """Outcome lines of a registry built from scratch on ``network``."""
-    processor = GPSSNQueryProcessor(
-        network, seed=seed, distance_engine=engine, **BUILD
-    )
+    if engine is not None:
+        use_engine(network, engine)
+    processor = GPSSNQueryProcessor(network, seed=seed, **BUILD)
     registry = ContinuousQueryRegistry(DynamicIndexMaintainer(processor))
     registry.subscribe(entries)
     return registry.outcome_lines()
@@ -64,8 +65,9 @@ def fresh_lines(network, entries, seed, engine=None):
 )
 def test_random_stream_matches_rebuild(seed, count, engine):
     network = tiny_network(seed)
+    use_engine(network, engine)
     processor = GPSSNQueryProcessor(
-        network, seed=seed, distance_engine=engine,
+        network, seed=seed,
         recorder=Recorder(explain=ExplainRecorder()), **BUILD
     )
     registry = ContinuousQueryRegistry(DynamicIndexMaintainer(processor))
@@ -122,8 +124,8 @@ def test_engines_agree_after_fixed_stream(engine):
     """Engine choice is invisible in answers, before and after churn.
 
     The same 30-op stream replayed on independent copies of the same
-    network must leave every engine byte-identical to the plain
-    (per-query Dijkstra) reference — in particular ``lazy-ch``, whose
+    network must leave every engine byte-identical to the dict Dijkstra
+    oracle (``"plain"``) — in particular ``lazy-ch``, whose
     parked-stale-hierarchy + CSR-fallback path only exists for the
     dynamic plane.
     """
@@ -131,9 +133,8 @@ def test_engines_agree_after_fixed_stream(engine):
 
     def run(eng):
         network = tiny_network(seed)
-        processor = GPSSNQueryProcessor(
-            network, seed=seed, distance_engine=eng, **BUILD
-        )
+        use_engine(network, eng)
+        processor = GPSSNQueryProcessor(network, seed=seed, **BUILD)
         registry = ContinuousQueryRegistry(DynamicIndexMaintainer(processor))
         entries = standing_entries(network)
         registry.subscribe(entries)

@@ -20,8 +20,9 @@ from repro.core.baseline import BaselineProcessor
 from repro.core.query import GPSSNQuery
 from repro.obs import Recorder
 from repro.obs.funnel import ExplainRecorder
-from tests.oracles import ScalarRefinementProcessor
+from tests.oracles import ScalarRefinementProcessor, use_engine
 
+#: "plain" is the dict Dijkstra test oracle (tests.oracles).
 ENGINES = ("plain", "csr", "ch")
 
 #: The two pair-evaluation paths under comparison.
@@ -37,7 +38,7 @@ def _network(engine):
         net = uni_dataset(
             num_road_vertices=60, num_pois=20, num_users=40, seed=29
         )
-        net.use_distance_engine(engine)
+        use_engine(net, engine)
         _NETWORKS[engine] = net
     return _NETWORKS[engine]
 

@@ -24,13 +24,14 @@ from repro.experiments.harness import (
     make_processor,
     sample_query_users,
 )
+from repro.config import DISTANCE_ENGINES
 from repro.io.snapshot import FrozenSnapshot, freeze
 
 SCALE = ExperimentScale(
     road_vertices=80, num_pois=25, num_users=60, max_groups=300
 )
 SEED = 5
-ENGINES = ["plain", "csr", "ch"]
+ENGINES = list(DISTANCE_ENGINES)
 
 
 def _observable(answer, stats):

@@ -14,6 +14,7 @@ import pytest
 from repro.datagen.scale import generate_grid_network, grid_road_network
 from repro.exceptions import InvalidParameterError
 from repro.experiments.harness import ExperimentScale, build_dataset
+from tests.oracles import use_engine
 
 
 class TestGridRoadNetwork:
@@ -79,7 +80,7 @@ class TestPoiDistancesWithin:
             road_vertices=300, num_pois=30, num_users=40, max_groups=100
         )
         network = build_dataset("UNI", scale, seed=6)
-        network.use_distance_engine(request.param)
+        use_engine(network, request.param)  # "plain": the dict oracle
         return network
 
     @pytest.mark.parametrize("radius", [0.7, 3.0, 8.0])

@@ -9,13 +9,13 @@ from repro import NetworkPosition, RoadNetwork
 from repro.datagen.synthetic import generate_road_network
 from repro.roadnet.ch import ContractionHierarchy
 from repro.roadnet.csr import CSRGraph
-from repro.roadnet.engines import CHEngine, PlainEngine
-from repro.roadnet.shortest_path import dijkstra
+from repro.roadnet.engines import CHEngine
 from tests.conftest import build_grid_road
+from tests.oracles import DictDijkstraEngine, dijkstra
 
 
 def assert_all_pairs_exact(road, ch, csr):
-    """Every vertex pair: CH query == plain Dijkstra, including inf."""
+    """Every vertex pair: CH query == dict Dijkstra, including inf."""
     ids = list(road.vertices())
     for source in ids:
         reference = dijkstra(road, source)
@@ -107,7 +107,7 @@ class TestCHEngine:
     def test_point_to_point_matches_plain(self):
         road = generate_road_network(60, np.random.default_rng(5))
         engine = CHEngine(road)
-        plain = PlainEngine(road)
+        plain = DictDijkstraEngine(road)
         rng = np.random.default_rng(13)
         edges = list(road.edges())
         for _ in range(40):

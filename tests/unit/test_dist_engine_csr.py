@@ -9,19 +9,11 @@ from repro import NetworkPosition, RoadNetwork
 from repro.datagen.synthetic import generate_road_network
 from repro.exceptions import InvalidParameterError, UnknownEntityError
 from repro.roadnet.csr import CSRGraph, HAVE_SCIPY
-from repro.roadnet.engines import (
-    CSREngine,
-    DistanceEngine,
-    ENGINE_NAMES,
-    PlainEngine,
-    make_engine,
-)
-from repro.roadnet.shortest_path import (
-    DistanceOracle,
-    multi_source_dijkstra,
-    position_seeds,
-)
+from repro.config import DISTANCE_ENGINES
+from repro.roadnet.engines import CSREngine, DistanceEngine, make_engine
+from repro.roadnet.shortest_path import DistanceOracle, position_seeds
 from tests.conftest import build_grid_road
+from tests.oracles import DictDijkstraEngine, multi_source_dijkstra
 
 
 @pytest.fixture(scope="module")
@@ -136,7 +128,7 @@ class TestKernelEquivalence:
 class TestCSREngine:
     def test_point_to_point_matches_plain(self, random_road):
         engine = CSREngine(random_road)
-        plain = PlainEngine(random_road)
+        plain = DictDijkstraEngine(random_road)
         rng = np.random.default_rng(11)
         edges = list(random_road.edges())
         for _ in range(30):
@@ -170,7 +162,7 @@ class TestCSREngine:
 
     def test_oracle_delegates_to_engine(self, grid_road):
         engine = CSREngine(grid_road)
-        oracle = DistanceOracle(grid_road, engine=engine)
+        oracle = DistanceOracle(engine)
         pos = NetworkPosition(0, 1, 1.0)
         via_oracle = oracle.distances_from("k", pos)
         direct = engine.sssp(position_seeds(grid_road, pos))
@@ -180,7 +172,7 @@ class TestCSREngine:
 
 class TestMakeEngine:
     def test_names(self, grid_road):
-        for name in ENGINE_NAMES:
+        for name in DISTANCE_ENGINES:
             engine = make_engine(name, grid_road)
             assert isinstance(engine, DistanceEngine)
             assert engine.name == name
@@ -188,10 +180,16 @@ class TestMakeEngine:
     def test_unknown_name_rejected(self, grid_road):
         with pytest.raises(InvalidParameterError):
             make_engine("quantum", grid_road)
+        # The dict Dijkstra is a test oracle, not a product engine.
+        with pytest.raises(InvalidParameterError):
+            make_engine(DictDijkstraEngine.name, grid_road)
 
     def test_config_validates_engine_name(self):
         from repro.config import ExperimentConfig
 
+        from repro.config import DEFAULT_DISTANCE_ENGINE
+
+        assert ExperimentConfig().distance_engine == DEFAULT_DISTANCE_ENGINE
         assert ExperimentConfig(distance_engine="ch").distance_engine == "ch"
         with pytest.raises(InvalidParameterError):
             ExperimentConfig(distance_engine="quantum")

@@ -9,7 +9,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro import uni_dataset
 from repro.core.refinement import (
@@ -245,6 +245,11 @@ class TestPairKernel:
         radius=st.floats(0.5, 30.0),
         issuer=st.integers(0, 29),
     )
+    # theta=1.0 sits on a Match_Score that a matmul rounds to
+    # 0.9999999999999999 but match_score sums to exactly 1.0 (group
+    # [0, 8, 16], seed POI 3): the vector gates must decide it the
+    # scalar way.
+    @example(net_seed=2, theta=1.0, radius=1.0, issuer=0)
     def test_best_region_matches_scalar_reference(
         self, net_seed, theta, radius, issuer
     ):

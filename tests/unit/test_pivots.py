@@ -15,7 +15,9 @@ from repro.index.pivots import (
     select_pivots_road,
     select_pivots_social,
 )
+from repro.roadnet.engines import CSREngine
 from repro.roadnet.shortest_path import DistanceOracle
+from tests.oracles import DictDijkstraEngine
 
 
 class TestPivotLowerBound:
@@ -39,7 +41,7 @@ class TestPivotLowerBound:
         road = generate_road_network(40, rng)
         vertices = list(road.vertices())
         pivots = [int(v) for v in rng.choice(vertices, size=3, replace=False)]
-        index = RoadPivotIndex(road, pivots)
+        index = RoadPivotIndex(CSREngine(road), pivots)
         from repro.roadnet.graph import NetworkPosition
 
         edges = list(road.edges())
@@ -48,7 +50,7 @@ class TestPivotLowerBound:
         a = NetworkPosition(u1, v1, float(rng.random() * l1))
         b = NetworkPosition(u2, v2, float(rng.random() * l2))
         lb = pivot_lower_bound(index.distances(a), index.distances(b))
-        true = DistanceOracle(road).distance("a", a, b)
+        true = DistanceOracle(DictDijkstraEngine(road)).distance("a", a, b)
         assert lb <= true + 1e-9
 
 
@@ -98,7 +100,7 @@ class TestSelectPivots:
 class TestRoadPivotIndex:
     def test_distances_shape(self, small_uni):
         rng = np.random.default_rng(2)
-        index = select_pivots_road(small_uni.road, 4, rng)
+        index = select_pivots_road(small_uni.distances.engine, 4, rng)
         assert index.num_pivots == 4
         home = small_uni.social.user(0).home
         dists = index.distances(home)
@@ -109,7 +111,7 @@ class TestRoadPivotIndex:
         from repro.roadnet.graph import NetworkPosition
 
         rng = np.random.default_rng(2)
-        index = select_pivots_road(small_uni.road, 3, rng)
+        index = select_pivots_road(small_uni.distances.engine, 3, rng)
         pivot = index.pivots[0]
         nbrs = small_uni.road.neighbors(pivot)
         other = next(iter(nbrs))
@@ -118,11 +120,11 @@ class TestRoadPivotIndex:
 
     def test_unknown_pivot_vertex_rejected(self, small_uni):
         with pytest.raises(UnknownEntityError):
-            RoadPivotIndex(small_uni.road, [999999])
+            RoadPivotIndex(small_uni.distances.engine, [999999])
 
     def test_empty_pivot_list_rejected(self, small_uni):
         with pytest.raises(InvalidParameterError):
-            RoadPivotIndex(small_uni.road, [])
+            RoadPivotIndex(small_uni.distances.engine, [])
 
 
 class TestSocialPivotIndex:

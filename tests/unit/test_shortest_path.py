@@ -1,4 +1,5 @@
-"""Unit and property tests for Dijkstra and the distance oracle."""
+"""Unit and property tests for the dict Dijkstra oracle and the
+distance oracle's caching and position arithmetic."""
 
 import math
 
@@ -12,11 +13,15 @@ from repro.datagen.synthetic import generate_road_network
 from repro.exceptions import UnknownEntityError
 from repro.roadnet.shortest_path import (
     DistanceOracle,
-    dijkstra,
     direct_edge_distance,
-    multi_source_dijkstra,
     position_seeds,
 )
+from tests.oracles import DictDijkstraEngine, dijkstra, multi_source_dijkstra
+
+
+def dict_oracle(road, **kwargs):
+    """A distance oracle searching with the dict Dijkstra."""
+    return DistanceOracle(DictDijkstraEngine(road), **kwargs)
 
 
 def to_networkx(road):
@@ -102,19 +107,19 @@ class TestPositionDistances:
         assert seeds[1] == pytest.approx(6.0)
 
     def test_same_edge_shortcut(self, grid_road):
-        oracle = DistanceOracle(grid_road)
+        oracle = dict_oracle(grid_road)
         a = NetworkPosition(0, 1, 2.0)
         b = NetworkPosition(0, 1, 7.0)
         assert oracle.distance("a", a, b) == pytest.approx(5.0)
 
     def test_same_edge_reverse_orientation(self, grid_road):
-        oracle = DistanceOracle(grid_road)
+        oracle = dict_oracle(grid_road)
         a = NetworkPosition(0, 1, 2.0)
         b = NetworkPosition(1, 0, 3.0)  # 7.0 from vertex 0
         assert oracle.distance("a", a, b) == pytest.approx(5.0)
 
     def test_cross_edge_distance(self, grid_road):
-        oracle = DistanceOracle(grid_road)
+        oracle = dict_oracle(grid_road)
         a = NetworkPosition(0, 1, 5.0)   # middle of bottom-left edge
         b = NetworkPosition(0, 4, 5.0)   # middle of left vertical edge
         assert oracle.distance("a", a, b) == pytest.approx(10.0)
@@ -129,7 +134,7 @@ class TestPositionDistances:
         u2, v2, l2 = edges[int(rng.integers(len(edges)))]
         a = NetworkPosition(u1, v1, float(rng.random() * l1))
         b = NetworkPosition(u2, v2, float(rng.random() * l2))
-        oracle = DistanceOracle(road)
+        oracle = dict_oracle(road)
         assert oracle.distance("a", a, b) == pytest.approx(
             oracle.distance("b", b, a), rel=1e-9, abs=1e-9
         )
@@ -144,7 +149,7 @@ class TestPositionDistances:
         for _ in range(3):
             u, v, length = edges[int(rng.integers(len(edges)))]
             positions.append(NetworkPosition(u, v, float(rng.random() * length)))
-        oracle = DistanceOracle(road)
+        oracle = dict_oracle(road)
         ab = oracle.distance("a", positions[0], positions[1])
         bc = oracle.distance("b", positions[1], positions[2])
         ac = oracle.distance("a", positions[0], positions[2])
@@ -194,7 +199,7 @@ class TestDirectEdgeDistance:
 
     def test_oracle_distance_uses_direct_walk_when_reversed(self, grid_road):
         # Endpoint detours give min(2+7, 8+3) = 9; the direct walk is 5.
-        oracle = DistanceOracle(grid_road)
+        oracle = dict_oracle(grid_road)
         a = NetworkPosition(0, 1, 2.0)
         b = NetworkPosition(1, 0, 3.0)
         assert oracle.distance("a", a, b) == pytest.approx(5.0)
@@ -203,7 +208,7 @@ class TestDirectEdgeDistance:
 
 class TestOracle:
     def test_caching_avoids_repeat_searches(self, grid_road):
-        oracle = DistanceOracle(grid_road)
+        oracle = dict_oracle(grid_road)
         pos = NetworkPosition(0, 1, 1.0)
         other = NetworkPosition(14, 15, 2.0)
         oracle.distance("k", pos, other)
@@ -214,7 +219,7 @@ class TestOracle:
         assert oracle.cache_hits == hits + 1
 
     def test_eviction_beyond_cache_size(self, grid_road):
-        oracle = DistanceOracle(grid_road, cache_size=2)
+        oracle = dict_oracle(grid_road, cache_size=2)
         for key in ("a", "b", "c"):
             oracle.distances_from(key, NetworkPosition(0, 1, 1.0))
         assert oracle.searches_run == 3
@@ -222,7 +227,7 @@ class TestOracle:
         assert oracle.searches_run == 4  # "a" was evicted
 
     def test_clear(self, grid_road):
-        oracle = DistanceOracle(grid_road)
+        oracle = dict_oracle(grid_road)
         oracle.distances_from("a", NetworkPosition(0, 1, 1.0))
         oracle.clear()
         oracle.distances_from("a", NetworkPosition(0, 1, 1.0))
@@ -231,12 +236,12 @@ class TestOracle:
     def test_default_cache_size_from_config(self, grid_road):
         from repro.config import DEFAULT_DISTANCE_CACHE_SIZE
 
-        oracle = DistanceOracle(grid_road)
+        oracle = dict_oracle(grid_road)
         assert oracle.cache_size == DEFAULT_DISTANCE_CACHE_SIZE
-        assert DistanceOracle(grid_road, cache_size=3).cache_size == 3
+        assert dict_oracle(grid_road, cache_size=3).cache_size == 3
 
     def test_hit_rate(self, grid_road):
-        oracle = DistanceOracle(grid_road)
+        oracle = dict_oracle(grid_road)
         assert oracle.hit_rate == 0.0  # idle oracle: no division by zero
         pos = NetworkPosition(0, 1, 1.0)
         oracle.distances_from("k", pos)
@@ -247,7 +252,7 @@ class TestOracle:
         assert oracle.hit_rate == pytest.approx(2 / 3)
 
     def test_point_to_point_bypasses_cache(self, grid_road):
-        oracle = DistanceOracle(grid_road)
+        oracle = dict_oracle(grid_road)
         a = NetworkPosition(0, 1, 5.0)
         b = NetworkPosition(0, 4, 5.0)
         got = oracle.point_to_point(a, b)
@@ -264,7 +269,7 @@ class TestOracle:
             road.add_vertex(vid, x, y)
         road.add_edge(0, 1)
         road.add_edge(2, 3)
-        oracle = DistanceOracle(road)
+        oracle = dict_oracle(road)
         a = NetworkPosition(0, 1, 0.5)
         b = NetworkPosition(2, 3, 0.5)
         assert math.isinf(oracle.distance("a", a, b))

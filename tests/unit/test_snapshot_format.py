@@ -49,21 +49,50 @@ def _craft(path, header: dict) -> None:
     path.write_bytes(MAGIC + struct.pack("<Q", len(blob)) + blob)
 
 
-def _write_previous_version(arena, dest) -> None:
-    """Copy ``arena`` with a version-1 header: the same sections, and the
-    meta the previous format carried (``refinement_kernel`` in
-    ``build_args``)."""
+def _rewrite_header(arena, dest, edit) -> None:
+    """Copy ``arena`` to ``dest`` with ``edit(header)`` applied."""
     data = arena.read_bytes()
     (length,) = struct.unpack("<Q", data[len(MAGIC):len(MAGIC) + 8])
     header = json.loads(data[len(MAGIC) + 8:len(MAGIC) + 8 + length])
-    header["version"] = 1
-    header["meta"]["build_args"]["refinement_kernel"] = "vector"
+    edit(header)
     blob = json.dumps(header, sort_keys=True, separators=(",", ":"))
     blob = blob.encode("utf-8")
     start = min(entry["offset"] for entry in header["sections"])
     head = MAGIC + struct.pack("<Q", len(blob)) + blob
     assert len(head) <= start
     dest.write_bytes(head + b"\x00" * (start - len(head)) + data[start:])
+
+
+def _previous_version(header) -> None:
+    """The version-1 header: the previous format carried a
+    ``refinement_kernel`` in ``build_args``."""
+    header["version"] = 1
+    header["meta"]["build_args"]["refinement_kernel"] = "vector"
+
+
+def _removed_engine(header) -> None:
+    """A current-version header naming the removed ``plain`` engine, as
+    every arena frozen from a default network used to."""
+    header["meta"]["distance_engine"] = "plain"
+
+
+def _removed_build_engine(header) -> None:
+    """The removed engine named only in the recorded build arguments."""
+    header["meta"]["build_args"]["distance_engine"] = "plain"
+
+
+def _stale_arenas(arena, tmp_path):
+    """``(path, error pattern)`` for every arena ``open`` must refuse."""
+    out = []
+    for edit, match in (
+        (_previous_version, "version 1"),
+        (_removed_engine, "unknown distance engine 'plain'"),
+        (_removed_build_engine, "unknown distance engine 'plain'"),
+    ):
+        dest = tmp_path / f"{edit.__name__.strip('_')}.gpsnap"
+        _rewrite_header(arena, dest, edit)
+        out.append((dest, match))
+    return out
 
 
 class TestOpen:
@@ -122,18 +151,19 @@ class TestOpen:
 
     def test_previous_version_arena_rejected(self, arena, tmp_path):
         """A version-1 arena (its build_args still name a refinement
-        kernel) must fail at open, before any processor is built."""
-        old = tmp_path / "v1.gpsnap"
-        _write_previous_version(arena, old)
-        with pytest.raises(SnapshotFormatError, match="version 1"):
-            FrozenSnapshot.open(old)
+        kernel), or one naming a removed distance engine, must fail at
+        open, before any processor is built."""
+        for old, match in _stale_arenas(arena, tmp_path):
+            with pytest.raises(SnapshotFormatError, match=match):
+                FrozenSnapshot.open(old)
 
     def test_previous_version_arena_exits_2_in_serve(self, arena, tmp_path):
         from repro.cli import main
 
-        old = tmp_path / "v1.gpsnap"
-        _write_previous_version(arena, old)
-        assert main(["serve", "--snapshot", str(old), "--port", "0"]) == 2
+        for old, _match in _stale_arenas(arena, tmp_path):
+            assert main(
+                ["serve", "--snapshot", str(old), "--port", "0"]
+            ) == 2, old.name
 
     def test_truncated_section(self, arena, tmp_path):
         bad = tmp_path / "cut.gpsnap"

@@ -3,7 +3,7 @@
 The cross-process telemetry plane must be cheap enough to leave on in
 production: every shard a worker answers ends with a capture-and-reset
 :class:`~repro.obs.delta.MetricsDelta` (counters, gauges, histogram
-sketches, the pruning funnel) that rides the result envelope back to
+buckets, the pruning funnel) that rides the result envelope back to
 the parent and is folded into the live registry. This benchmark prices
 that plane with two arms, both interleaved in one process so a noisy
 CI box inflates the two sides equally:

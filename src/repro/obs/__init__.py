@@ -8,9 +8,13 @@ place they flow through:
   context-manager API (:class:`Tracer`) and a zero-overhead
   :class:`NullTracer` default, so the hot path pays nothing unless a
   caller opts in;
-* :mod:`repro.obs.registry` — named counters, gauges, and timing
-  histograms (:class:`MetricsRegistry`), bundled with a tracer behind
-  one :class:`Recorder` object that the query processor threads through
+* :mod:`repro.obs.histogram` — the one distribution type: a mergeable
+  log-linear :class:`Histogram` (exact count/sum/min/max, quantiles
+  within relative 2^-7, exact bucket-wise merges) that also serves as
+  the daemon's rolling-window latency histogram;
+* :mod:`repro.obs.registry` — named counters, gauges, and histograms
+  (:class:`MetricsRegistry`), bundled with a tracer behind one
+  :class:`Recorder` object that the query processor threads through
   its phases;
 * :mod:`repro.obs.exporters` — JSON-lines trace dumps, Prometheus-style
   text, and human-readable per-phase tables;
@@ -22,7 +26,7 @@ place they flow through:
 * :mod:`repro.obs.delta` / :mod:`repro.obs.context` — the cross-process
   telemetry plane: capture-and-reset :class:`MetricsDelta` envelopes
   workers ship back with their results (counters, gauges, histogram
-  sketches, funnel deltas, sampled span forests) and the picklable
+  buckets, funnel deltas, sampled span forests) and the picklable
   :class:`TraceContext` that carries head-sampled trace decisions
   across the pool boundary;
 * :mod:`repro.obs.profiler` — a stdlib-only sampling profiler
@@ -31,15 +35,13 @@ place they flow through:
   tracer's active spans.
 """
 
+from .histogram import Histogram, HistogramStats
 from .registry import (
-    Histogram,
-    HistogramStats,
     MetricsRegistry,
     MetricsSnapshot,
     Recorder,
     process_rss_bytes,
 )
-from .rolling import RollingHistogram, WindowStats
 from .tracer import NullTracer, Span, Tracer, aggregate_spans
 from .exporters import (
     explain_to_json,
@@ -52,12 +54,11 @@ from .exporters import (
 from .funnel import NULL_EXPLAIN, ExplainRecorder, NullExplain, PhaseFunnel
 from .explain import RULES, explain_report, rule_info
 from .context import TraceContext, head_sample
-from .delta import HistogramSketch, MetricsDelta, split_worker_metric
+from .delta import MetricsDelta, split_worker_metric
 from .profiler import ProfileReport, SamplingProfiler
 
 __all__ = [
     "ExplainRecorder",
-    "HistogramSketch",
     "MetricsDelta",
     "ProfileReport",
     "SamplingProfiler",
@@ -74,9 +75,7 @@ __all__ = [
     "PhaseFunnel",
     "RULES",
     "Recorder",
-    "RollingHistogram",
     "Span",
-    "WindowStats",
     "Tracer",
     "aggregate_spans",
     "explain_report",

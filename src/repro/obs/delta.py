@@ -14,15 +14,14 @@ exactly the counts a serial run would have recorded directly.
 
 Shapes:
 
-* :class:`HistogramSketch` — the wire form of a
-  :class:`~repro.obs.registry.Histogram`: exact ``count``/``sum``/
-  ``max`` plus a capped sample list for percentile estimation. Merge
-  keeps the exact fields exact; samples concatenate and are
-  deterministically thinned above the cap (merge is associative in the
-  exact fields always, and in the samples whenever the cap is not hit).
+* ``histograms`` — :meth:`Histogram.to_wire
+  <repro.obs.histogram.Histogram.to_wire>` dicts: exact
+  ``count``/``sum``/``min``/``max`` plus the sparse bucket counts.
+  Merging adds buckets, so it is exact, associative and commutative,
+  and the parent ends with the buckets a serial run observes.
 * ``funnel`` — one dict per explain phase carrying
-  ``visited``/``survived`` and per-rule prune tallies with margin
-  sketch fields, absorbable by
+  ``visited``/``survived`` and per-rule prune tallies with the margin
+  histogram's wire form, absorbable by
   :meth:`~repro.obs.funnel.ExplainRecorder.absorb`.
 * ``trace`` — at most one sampled span forest (JSONL lines, bounded by
   :data:`MAX_TRACE_SPANS`) keyed by the originating request id, for the
@@ -43,24 +42,18 @@ families).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 from .funnel import ExplainRecorder
-from .registry import Histogram, MetricsRegistry, Recorder
+from .histogram import Histogram
+from .registry import MetricsRegistry, Recorder
 
 __all__ = [
-    "DEFAULT_SKETCH_SAMPLES",
-    "HistogramSketch",
     "MAX_TRACE_SPANS",
     "MetricsDelta",
     "WORKER_PREFIX",
     "split_worker_metric",
 ]
-
-#: Per-sketch sample cap on the wire. Smaller than the registry's
-#: reservoir (4096): a delta describes one chunk of work, and its
-#: samples only refine percentiles, never the exact count/sum/max.
-DEFAULT_SKETCH_SAMPLES = 256
 
 #: Hard ceiling on span-forest lines one delta may carry. ``spans_to_
 #: jsonl`` emits parents before children, so a prefix is still a valid
@@ -85,69 +78,14 @@ def split_worker_metric(name: str) -> Optional[tuple]:
     return metric, label
 
 
-def _thin(samples: List[float], cap: int) -> List[float]:
-    """Deterministic even-stride downsample to at most ``cap`` values."""
-    n = len(samples)
-    if n <= cap:
-        return list(samples)
-    if cap == 1:
-        return [samples[0]]
-    step = (n - 1) / (cap - 1)
-    return [samples[round(i * step)] for i in range(cap)]
-
-
-@dataclass
-class HistogramSketch:
-    """The wire form of one histogram: exact moments + capped samples."""
-
-    count: int = 0
-    sum: float = 0.0
-    max: float = 0.0
-    samples: List[float] = field(default_factory=list)
-
-    @classmethod
-    def from_histogram(
-        cls, hist: Histogram, cap: int = DEFAULT_SKETCH_SAMPLES
-    ) -> "HistogramSketch":
-        return cls(
-            count=hist.count,
-            sum=hist.sum,
-            max=hist.max,
-            samples=_thin(hist.values, cap),
-        )
-
-    def merge(self, other: "HistogramSketch") -> "HistogramSketch":
-        """A new sketch describing the union of both observation sets."""
-        if not other.count:
-            return HistogramSketch(
-                self.count, self.sum, self.max, list(self.samples)
-            )
-        if not self.count:
-            return HistogramSketch(
-                other.count, other.sum, other.max, list(other.samples)
-            )
-        return HistogramSketch(
-            count=self.count + other.count,
-            sum=self.sum + other.sum,
-            max=max(self.max, other.max),
-            samples=_thin(
-                self.samples + other.samples, DEFAULT_SKETCH_SAMPLES
-            ),
-        )
-
-    @property
-    def mean(self) -> float:
-        return self.sum / self.count if self.count else 0.0
-
-    def percentile(self, p: float) -> float:
-        """Nearest-rank percentile over the retained samples."""
-        import math
-
-        ordered = sorted(self.samples)
-        if not ordered:
-            return 0.0
-        rank = max(1, math.ceil(p / 100.0 * len(ordered)))
-        return ordered[min(rank, len(ordered)) - 1]
+def _merge_wire(a: Optional[dict], b: Optional[dict]) -> Optional[dict]:
+    """The wire form of two wire-form histograms merged (``None`` is
+    the empty side)."""
+    if a is None or b is None:
+        return b if a is None else a
+    merged = Histogram.from_wire(a)
+    merged.merge(Histogram.from_wire(b))
+    return merged.to_wire()
 
 
 def _funnel_doc(explain) -> Dict[str, dict]:
@@ -157,14 +95,8 @@ def _funnel_doc(explain) -> Dict[str, dict]:
         rules: Dict[str, dict] = {}
         for rule, stats in funnel.rules.items():
             entry: Dict[str, object] = {"pruned": stats.pruned}
-            margins = stats.margins
-            if margins.count:
-                entry["margin_count"] = margins.count
-                entry["margin_sum"] = margins.sum
-                entry["margin_max"] = margins.max
-                entry["margins"] = _thin(
-                    margins.values, DEFAULT_SKETCH_SAMPLES
-                )
+            if stats.margins.count:
+                entry["margins"] = stats.margins.to_wire()
             rules[rule] = entry
         doc[funnel.name] = {
             "visited": funnel.visited,
@@ -181,8 +113,9 @@ class MetricsDelta:
     worker: Optional[str] = None
     counters: Dict[str, float] = field(default_factory=dict)
     gauges: Dict[str, float] = field(default_factory=dict)
-    histograms: Dict[str, HistogramSketch] = field(default_factory=dict)
-    #: phase -> {visited, survived, rules: {rule: {pruned, margin_*}}}
+    #: name -> Histogram.to_wire() dict
+    histograms: Dict[str, dict] = field(default_factory=dict)
+    #: phase -> {visited, survived, rules: {rule: {pruned, margins?}}}
     funnel: Dict[str, dict] = field(default_factory=dict)
     #: At most one sampled trace: {"request_id", "spans", "funnel",
     #: "rule_counts", "shard_sec"} (see executor._run_traced_items).
@@ -213,8 +146,7 @@ class MetricsDelta:
             counters=counters,
             gauges=gauges,
             histograms={
-                name: HistogramSketch.from_histogram(hist)
-                for name, hist in histograms.items()
+                name: hist.to_wire() for name, hist in histograms.items()
             },
             funnel=funnel,
             trace=trace,
@@ -231,10 +163,10 @@ class MetricsDelta:
         """A new delta equal to both inputs' work combined.
 
         Counter merge is addition, gauge merge is last-writer-wins
-        (``other``), histogram merge is :meth:`HistogramSketch.merge`,
-        funnel merge sums tallies; at most one trace survives (the
-        first — traces are head-sampled, not aggregated). Associative
-        except for gauge ordering and sample thinning past the cap.
+        (``other``), histogram merge adds buckets, funnel merge sums
+        tallies and merges margin histograms; at most one trace survives
+        (the first — traces are head-sampled, not aggregated).
+        Associative except for gauge ordering.
         """
         counters = dict(self.counters)
         for name, value in other.counters.items():
@@ -242,9 +174,8 @@ class MetricsDelta:
         gauges = dict(self.gauges)
         gauges.update(other.gauges)
         histograms = dict(self.histograms)
-        for name, sketch in other.histograms.items():
-            mine = histograms.get(name)
-            histograms[name] = sketch if mine is None else mine.merge(sketch)
+        for name, doc in other.histograms.items():
+            histograms[name] = _merge_wire(histograms.get(name), doc)
         funnel = _merge_funnels(self.funnel, other.funnel)
         return MetricsDelta(
             worker=self.worker if self.worker == other.worker else None,
@@ -279,12 +210,11 @@ class MetricsDelta:
             registry.set_gauge(name, value)
             if label is not None:
                 registry.set_gauge(f"{WORKER_PREFIX}{label}.{name}", value)
-        for name, sketch in self.histograms.items():
-            registry.absorb_histogram(name, sketch)
+        for name, doc in self.histograms.items():
+            hist = Histogram.from_wire(doc)
+            registry.merge_histogram(name, hist)
             if label is not None:
-                registry.absorb_histogram(
-                    f"{WORKER_PREFIX}{label}.{name}", sketch
-                )
+                registry.merge_histogram(f"{WORKER_PREFIX}{label}.{name}", hist)
         if explain is not None and self.funnel:
             explain.absorb(self.funnel)
 
@@ -319,19 +249,9 @@ def _merge_funnels(
             entry: Dict[str, object] = {
                 "pruned": ra["pruned"] + rb["pruned"]
             }
-            count = ra.get("margin_count", 0) + rb.get("margin_count", 0)
-            if count:
-                entry["margin_count"] = count
-                entry["margin_sum"] = (
-                    ra.get("margin_sum", 0.0) + rb.get("margin_sum", 0.0)
-                )
-                entry["margin_max"] = max(
-                    ra.get("margin_max", 0.0), rb.get("margin_max", 0.0)
-                )
-                entry["margins"] = _thin(
-                    list(ra.get("margins", ())) + list(rb.get("margins", ())),
-                    DEFAULT_SKETCH_SAMPLES,
-                )
+            margins = _merge_wire(ra.get("margins"), rb.get("margins"))
+            if margins is not None:
+                entry["margins"] = margins
             rules[rule] = entry
         merged[phase] = {
             "visited": pa["visited"] + pb["visited"],

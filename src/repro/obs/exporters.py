@@ -153,8 +153,8 @@ def prometheus_text(
 
     Counters and gauges map 1:1; each histogram becomes ``_count`` /
     ``_sum`` plus ``quantile`` gauges for p50/p95/p99 and a ``_max``
-    gauge. Rolling-window histograms export their quantiles over the
-    window while ``_count``/``_sum`` stay lifetime-monotone (the shape a
+    gauge. Windowed histograms export their quantiles over the window
+    while ``_count``/``_sum`` stay lifetime-monotone (the shape a
     scraper's delta math needs). Every family gets ``# HELP`` and
     ``# TYPE`` headers. Passing an active
     :class:`~repro.obs.funnel.ExplainRecorder` appends the per-rule
@@ -166,6 +166,8 @@ def prometheus_text(
     scrape — long-lived services should pass the snapshot so one
     exposition never mixes two moments in time.
     """
+    if isinstance(registry, MetricsRegistry):
+        registry = registry.snapshot()
     out: List[str] = []
 
     def header(prom: str, name: str, kind: str) -> None:
@@ -248,9 +250,8 @@ def prometheus_text(
             out.append(f'{prom}{{{worker},quantile="0.99"}} {hist.p99:g}')
             out.append(f"{prom}_count{{{worker}}} {hist.count}")
             out.append(f"{prom}_sum{{{worker}}} {hist.sum:g}")
-    for name in sorted(getattr(registry, "windows", {})):
-        window = registry.windows[name]
-        stats = window.snapshot() if hasattr(window, "snapshot") else window
+    for name in sorted(registry.windows):
+        stats = registry.windows[name]
         prom = _prom_name(name)
         header(prom, name, "summary")
         out.append(f'{prom}{{quantile="0.5"}} {stats.p50:g}')

@@ -1,33 +1,31 @@
 """Named counters, gauges, and timing histograms behind one registry.
 
 The :class:`MetricsRegistry` is deliberately minimal — dictionaries of
-floats plus value-list histograms — because every number the paper
-reports is either a monotone tally (pruned objects, page accesses) or a
-per-query distribution (CPU time). The :class:`Recorder` bundles a
-registry with a tracer and is the single object the query processor
-threads through its phases; :meth:`Recorder.record_query` absorbs a
-finished query's :class:`~repro.core.query.QueryStatistics` — including
-every :class:`~repro.core.query.PruningCounters` field, verbatim — so
-the scattered ad-hoc plumbing of earlier revisions now has one sink.
+floats plus log-linear :class:`~repro.obs.histogram.Histogram` objects —
+because every number the paper reports is either a monotone tally
+(pruned objects, page accesses) or a per-query distribution (CPU time).
+The :class:`Recorder` bundles a registry with a tracer and is the
+single object the query processor threads through its phases;
+:meth:`Recorder.record_query` absorbs a finished query's
+:class:`~repro.core.query.QueryStatistics` — including every
+:class:`~repro.core.query.PruningCounters` field, verbatim — so the
+scattered ad-hoc plumbing of earlier revisions now has one sink.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import math
-import random
 import threading
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, Optional, Tuple
 
-from .rolling import RollingHistogram, WindowStats
+from .funnel import NULL_EXPLAIN, ExplainRecorder
+from .histogram import DEFAULT_WINDOW_SEC, Histogram, HistogramStats
 from .tracer import NullTracer, Tracer
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from ..core.query import QueryStatistics
 
 __all__ = [
-    "Histogram",
-    "HistogramStats",
     "MetricsRegistry",
     "MetricsSnapshot",
     "Recorder",
@@ -62,169 +60,6 @@ def process_rss_bytes() -> float:
 
 
 @dataclasses.dataclass(frozen=True)
-class HistogramStats:
-    """A consistent point-in-time summary of one :class:`Histogram`."""
-
-    count: int
-    sum: float
-    p50: float
-    p95: float
-    p99: float
-    max: float
-
-    @property
-    def mean(self) -> float:
-        return self.sum / self.count if self.count else 0.0
-
-
-class Histogram:
-    """A value histogram reporting count/sum/mean and p50/p95/p99/max.
-
-    ``count``, ``sum`` (hence ``mean``), and ``max`` are exact over every
-    observation. The raw observations themselves are bounded: at most
-    ``max_samples`` of them are retained via Algorithm-R reservoir
-    sampling (seeded, so runs are reproducible), and percentiles use the
-    nearest-rank rule on a sorted copy of the reservoir. Below the cap
-    the reservoir holds every value and percentiles are exact — the
-    common case for per-query workloads; above it memory stays O(cap)
-    no matter how many values stream in.
-
-    Thread-safe: concurrent :meth:`observe` calls from service worker
-    threads serialize on a per-histogram lock, and :meth:`stats` takes a
-    consistent snapshot under the same lock.
-    """
-
-    __slots__ = (
-        "values", "max_samples", "_count", "_sum", "_max", "_rng", "_lock",
-    )
-
-    DEFAULT_MAX_SAMPLES = 4096
-
-    def __init__(self, max_samples: int = DEFAULT_MAX_SAMPLES) -> None:
-        if max_samples < 1:
-            raise ValueError(f"max_samples must be >= 1, got {max_samples}")
-        self.values: List[float] = []
-        self.max_samples = max_samples
-        self._count = 0
-        self._sum = 0.0
-        self._max = 0.0
-        self._rng = random.Random(0x6A55)
-        self._lock = threading.Lock()
-
-    def observe(self, value: float) -> None:
-        value = float(value)
-        with self._lock:
-            self._count += 1
-            self._sum += value
-            if self._count == 1 or value > self._max:
-                self._max = value
-            if len(self.values) < self.max_samples:
-                self.values.append(value)
-            else:
-                # Algorithm R: replace a random reservoir slot with
-                # probability max_samples / count.
-                slot = self._rng.randrange(self._count)
-                if slot < self.max_samples:
-                    self.values[slot] = value
-
-    @property
-    def count(self) -> int:
-        return self._count
-
-    @property
-    def sum(self) -> float:
-        return self._sum
-
-    @property
-    def mean(self) -> float:
-        return self._sum / self._count if self._count else 0.0
-
-    @property
-    def max(self) -> float:
-        return self._max if self._count else 0.0
-
-    def percentile(self, p: float) -> float:
-        """Nearest-rank percentile, ``p`` in [0, 100].
-
-        Exact while the observation count is within ``max_samples``;
-        estimated from the uniform reservoir sample beyond it.
-        """
-        if not 0.0 <= p <= 100.0:
-            raise ValueError(f"percentile must be in [0, 100], got {p}")
-        with self._lock:
-            ordered = sorted(self.values)
-        if not ordered:
-            return 0.0
-        rank = max(1, math.ceil(p / 100.0 * len(ordered)))
-        return ordered[min(rank, len(ordered)) - 1]
-
-    @property
-    def p50(self) -> float:
-        return self.percentile(50.0)
-
-    @property
-    def p95(self) -> float:
-        return self.percentile(95.0)
-
-    @property
-    def p99(self) -> float:
-        return self.percentile(99.0)
-
-    def absorb(
-        self,
-        count: int,
-        total: float,
-        maximum: float,
-        samples: Sequence[float] = (),
-    ) -> None:
-        """Fold another histogram's observations in (delta merge).
-
-        ``count``/``sum``/``max`` stay exact — they are summed/maxed
-        directly, never re-derived from samples. The samples refresh
-        the reservoir: below the cap they are kept verbatim, above it
-        each takes a slot with probability ``cap / merged_count``,
-        mirroring what Algorithm R would have converged to had the
-        observations streamed in individually.
-        """
-        if count <= 0:
-            return
-        with self._lock:
-            had = self._count
-            self._count += count
-            self._sum += float(total)
-            if not had or maximum > self._max:
-                self._max = float(maximum)
-            for value in samples:
-                value = float(value)
-                if len(self.values) < self.max_samples:
-                    self.values.append(value)
-                else:
-                    slot = self._rng.randrange(self._count)
-                    if slot < self.max_samples:
-                        self.values[slot] = value
-
-    def stats(self) -> HistogramStats:
-        """One consistent summary (count/sum/quantiles read atomically)."""
-        with self._lock:
-            count, total, maximum = self._count, self._sum, self._max
-            ordered = sorted(self.values)
-
-        def rank(p: float) -> float:
-            if not ordered:
-                return 0.0
-            position = max(1, math.ceil(p / 100.0 * len(ordered)))
-            return ordered[min(position, len(ordered)) - 1]
-
-        return HistogramStats(
-            count=count, sum=total, p50=rank(50.0), p95=rank(95.0),
-            p99=rank(99.0), max=maximum if count else 0.0,
-        )
-
-    def __repr__(self) -> str:
-        return f"Histogram(n={self.count}, p50={self.p50:.4g}, max={self.max:.4g})"
-
-
-@dataclasses.dataclass(frozen=True)
 class MetricsSnapshot:
     """A frozen, scrape-consistent image of a :class:`MetricsRegistry`.
 
@@ -239,27 +74,25 @@ class MetricsSnapshot:
     counters: Dict[str, float]
     gauges: Dict[str, float]
     histograms: Dict[str, HistogramStats]
-    windows: Dict[str, WindowStats]
+    windows: Dict[str, HistogramStats]
 
 
 class MetricsRegistry:
     """Named counters (monotone), gauges (last value), and histograms.
 
     Two histogram families coexist: :meth:`observe` feeds lifetime
-    :class:`Histogram` reservoirs (the benchmark/CLI shape), while
-    :meth:`observe_window` feeds :class:`RollingHistogram` windows whose
-    percentiles describe only recent traffic (the daemon's latency
+    :class:`Histogram` objects (the benchmark/CLI shape), while
+    :meth:`observe_window` feeds windowed ones whose percentiles
+    describe only the last ``window_sec`` seconds (the daemon's latency
     p50/p95/p99). All mutation paths are thread-safe; a scraping thread
     should read through :meth:`snapshot` rather than the live dicts.
     """
 
-    def __init__(
-        self, window_sec: float = RollingHistogram.DEFAULT_WINDOW_SEC
-    ) -> None:
+    def __init__(self, window_sec: float = DEFAULT_WINDOW_SEC) -> None:
         self.counters: Dict[str, float] = {}
         self.gauges: Dict[str, float] = {}
         self.histograms: Dict[str, Histogram] = {}
-        self.windows: Dict[str, RollingHistogram] = {}
+        self.windows: Dict[str, Histogram] = {}
         self.window_sec = window_sec
         self._lock = threading.RLock()
 
@@ -271,19 +104,27 @@ class MetricsRegistry:
         with self._lock:
             self.gauges[name] = float(value)
 
-    def observe(self, name: str, value: float) -> None:
+    def _histogram(self, name: str) -> Histogram:
         with self._lock:
             hist = self.histograms.get(name)
             if hist is None:
                 hist = self.histograms[name] = Histogram()
-        hist.observe(value)
+        return hist
+
+    def observe(self, name: str, value: float) -> None:
+        self._histogram(name).observe(value)
+
+    def merge_histogram(self, name: str, hist: Histogram) -> None:
+        """Add ``hist``'s buckets into the named histogram — the
+        parent-side arm of worker delta shipping."""
+        self._histogram(name).merge(hist)
 
     def observe_window(self, name: str, value: float) -> None:
-        """Record into the named rolling-window histogram."""
+        """Record into the named windowed histogram."""
         with self._lock:
             window = self.windows.get(name)
             if window is None:
-                window = self.windows[name] = RollingHistogram(
+                window = self.windows[name] = Histogram(
                     window_sec=self.window_sec
                 )
         window.observe(value)
@@ -291,16 +132,6 @@ class MetricsRegistry:
     def counter(self, name: str) -> float:
         with self._lock:
             return self.counters.get(name, 0.0)
-
-    def absorb_histogram(self, name: str, sketch) -> None:
-        """Fold a :class:`~repro.obs.delta.HistogramSketch`-shaped
-        object (``count``/``sum``/``max``/``samples``) into the named
-        histogram — the parent-side arm of worker delta shipping."""
-        with self._lock:
-            hist = self.histograms.get(name)
-            if hist is None:
-                hist = self.histograms[name] = Histogram()
-        hist.absorb(sketch.count, sketch.sum, sketch.max, sketch.samples)
 
     def drain(
         self,
@@ -347,7 +178,7 @@ class MetricsRegistry:
             counters=counters,
             gauges=gauges,
             histograms={name: h.stats() for name, h in histograms},
-            windows={name: w.snapshot() for name, w in windows},
+            windows={name: w.stats() for name, w in windows},
         )
 
     def as_dict(self) -> Dict[str, Dict[str, float]]:
@@ -407,10 +238,6 @@ class Recorder:
         metrics: Optional[MetricsRegistry] = None,
         explain: Optional[object] = None,
     ) -> None:
-        # Imported here, not at module top: funnel reuses Histogram from
-        # this module, so the default-wiring import runs the other way.
-        from .funnel import NULL_EXPLAIN
-
         self.tracer = tracer if tracer is not None else NullTracer()
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.explain = explain if explain is not None else NULL_EXPLAIN
@@ -423,8 +250,6 @@ class Recorder:
     @classmethod
     def explaining(cls) -> "Recorder":
         """A recorder with span tracing *and* funnel accounting on."""
-        from .funnel import ExplainRecorder
-
         return cls(tracer=Tracer(), explain=ExplainRecorder())
 
     @property

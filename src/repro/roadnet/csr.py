@@ -40,7 +40,7 @@ except ImportError:  # pragma: no cover - CI always has scipy
     HAVE_SCIPY = False
 
 #: Below this vertex count the Python list kernel beats the scipy call
-#: (two C calls + row marshalling per seeded search).
+#: (matrix assembly + row marshalling per seeded search).
 SCIPY_MIN_VERTICES = 256
 
 
@@ -351,28 +351,49 @@ class CSRGraph:
         seeds: Sequence[Tuple[int, float]],
         max_distance: float,
     ) -> np.ndarray:
-        """Seeded multi-source SSSP as a min-reduction over scipy rows.
+        """Seeded multi-source SSSP as one scipy search.
 
-        ``min_k (d0_k + dist_from_seed_k(x))`` equals the seeded
-        multi-source result; each row is one C Dijkstra with its limit
-        tightened by the seed's initial offset. Returns the dense
-        per-vertex float64 row in internal-index order (inf = out of
-        reach / beyond the bound).
+        A single seed at offset 0 is a plain search from its vertex.
+        Otherwise a virtual source is appended as row ``n`` with an edge
+        of length ``d0`` to each seed, so scipy accumulates ``(d0 + w1)
+        + w2`` in the same order as the Python kernel and the
+        dict-Dijkstra oracle, and the virtual column is sliced off.
+        Duplicate seed vertices (both ends of a self-loop) collapse to
+        their smallest offset first. Returns the dense per-vertex
+        float64 row in internal-index order (inf = out of reach / beyond
+        the bound).
         """
-        best = None
-        for idx, d0 in seeds:
-            limit = max_distance - d0
-            if limit < 0:
-                continue
+        n = self.num_vertices
+        if len(seeds) == 1 and seeds[0][1] == 0.0:
             self.scipy_runs += 1
-            row = _scipy_dijkstra(
-                self._matrix(), directed=True, indices=idx, limit=limit
+            return _scipy_dijkstra(
+                self._matrix(), directed=True, indices=seeds[0][0],
+                limit=max_distance,
             )
-            row = row + d0
-            best = row if best is None else np.minimum(best, row)
-        if best is None:
-            return np.full(self.num_vertices, math.inf, dtype=np.float64)
-        return best
+        offsets: Dict[int, float] = {}
+        for idx, d0 in seeds:
+            if d0 <= max_distance and d0 < offsets.get(idx, math.inf):
+                offsets[idx] = d0
+        if not offsets:
+            return np.full(n, math.inf, dtype=np.float64)
+        k = len(offsets)
+        matrix = _csr_matrix(
+            (
+                np.concatenate((
+                    self.weights,
+                    np.fromiter(offsets.values(), dtype=np.float64, count=k),
+                )),
+                np.concatenate((
+                    self.indices,
+                    np.fromiter(offsets, dtype=np.int64, count=k),
+                )),
+                np.append(self.indptr, self.indptr[-1] + k),
+            ),
+            shape=(n + 1, n + 1),
+        )
+        self.scipy_runs += 1
+        row = _scipy_dijkstra(matrix, directed=True, indices=n, limit=max_distance)
+        return row[:n]
 
     def _scipy_sssp(
         self,

@@ -41,7 +41,7 @@ deletes that file again on :meth:`BatchQueryExecutor.close`.
 Worker telemetry is not lost to process boundaries: every shard comes
 back as a :class:`ShardResult` whose
 :class:`~repro.obs.delta.MetricsDelta` carries the worker's counters,
-gauges, histogram sketches, pruning-funnel tallies, and (for traced
+gauges, histogram buckets, pruning-funnel tallies, and (for traced
 requests) a bounded span forest. The parent merges each delta into its
 own recorder — once under the original names (so aggregate funnel
 counts match a serial run exactly, on any backend) and once under

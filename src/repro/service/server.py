@@ -70,6 +70,7 @@ from ..exceptions import InvalidParameterError
 from ..network import SpatialSocialNetwork
 from ..obs import (
     ExplainRecorder,
+    MetricsRegistry,
     ProfileReport,
     Recorder,
     SamplingProfiler,
@@ -272,9 +273,8 @@ class GPSSNService:
         self.limits = ExecutionLimits(
             timeout_sec=cfg.timeout_sec, retries=cfg.retries
         )
-        self.recorder = Recorder()
-        self.registry = self.recorder.metrics
-        self.registry.window_sec = cfg.window_sec
+        self.registry = MetricsRegistry(window_sec=cfg.window_sec)
+        self.recorder = Recorder(metrics=self.registry)
         self.started_monotonic = time.monotonic()
         self.started_wall = time.time()
         self._explain = _LockedExplain() if cfg.explain else None

@@ -144,15 +144,14 @@ class TestFunnelInvariant:
 
     def test_margins_are_nonnegative(self, small_uni):
         """By convention every margin records how far past its threshold
-        the failing bound was — so sampled margins are >= 0."""
+        the failing bound was — so observed margins are >= 0."""
         processor = GPSSNQueryProcessor(
             small_uni, seed=0, recorder=Recorder.explaining()
         )
         processor.answer(QUERY)
         for funnel in processor.recorder.explain.iter_phases():
             for rule, stats in funnel.rules.items():
-                for value in stats.margins.values:
-                    assert value >= -1e-9, (funnel.name, rule, value)
+                assert stats.margins.min >= 0.0, (funnel.name, rule)
 
 
 class TestWorkloadFunnel:

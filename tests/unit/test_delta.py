@@ -1,7 +1,7 @@
 """Unit tests for the cross-process telemetry plane's data layer.
 
 Covers :mod:`repro.obs.delta` (capture/merge/apply of worker metric
-deltas, histogram sketches, funnel absorption) and
+deltas, histogram wire forms, funnel absorption) and
 :mod:`repro.obs.context` (deterministic head sampling and the picklable
 trace context).
 """
@@ -12,7 +12,7 @@ import pytest
 
 from repro.obs import (
     ExplainRecorder,
-    HistogramSketch,
+    Histogram,
     MetricsDelta,
     MetricsRegistry,
     Recorder,
@@ -20,7 +20,14 @@ from repro.obs import (
     head_sample,
     split_worker_metric,
 )
-from repro.obs.delta import DEFAULT_SKETCH_SAMPLES, WORKER_PREFIX, _thin
+from repro.obs.delta import WORKER_PREFIX, _merge_wire
+
+
+def _wire(*values):
+    hist = Histogram()
+    for value in values:
+        hist.observe(value)
+    return hist.to_wire()
 
 
 def _recorder_with_traffic(seed: int = 0) -> Recorder:
@@ -40,64 +47,58 @@ def _recorder_with_traffic(seed: int = 0) -> Recorder:
 
 
 class TestSketch:
+    """The wire form of a histogram, as deltas ship and merge it."""
+
     def test_from_histogram_exact_moments(self):
         m = MetricsRegistry()
         for v in (1.0, 2.0, 3.0, 10.0):
             m.observe("h", v)
-        sketch = HistogramSketch.from_histogram(m.histograms["h"])
-        assert sketch.count == 4
-        assert sketch.sum == pytest.approx(16.0)
-        assert sketch.max == 10.0
-        assert sorted(sketch.samples) == [1.0, 2.0, 3.0, 10.0]
+        doc = m.histograms["h"].to_wire()
+        assert doc["count"] == 4
+        assert doc["sum"] == pytest.approx(16.0)
+        assert doc["max"] == 10.0
+        assert doc["min"] == 1.0
+        assert sum(doc["buckets"].values()) == 4
+        clone = Histogram.from_wire(doc)
+        assert [clone.p50, clone.p95] == [2.0, 10.0]
 
     def test_merge_is_exact_in_the_moments(self):
-        a = HistogramSketch(count=3, sum=6.0, max=3.0, samples=[1, 2, 3])
-        b = HistogramSketch(count=2, sum=9.0, max=5.0, samples=[4, 5])
-        merged = a.merge(b)
+        merged = Histogram.from_wire(
+            _merge_wire(_wire(1, 2, 3), _wire(4, 5))
+        )
         assert merged.count == 5
         assert merged.sum == pytest.approx(15.0)
         assert merged.max == 5.0
         assert merged.mean == pytest.approx(3.0)
 
     def test_merge_associative_below_the_cap(self):
-        sketches = [
-            HistogramSketch(count=2, sum=float(i), max=float(i),
-                            samples=[float(i), float(i) / 2])
-            for i in range(1, 5)
-        ]
-        left = sketches[0].merge(sketches[1]).merge(sketches[2]) \
-            .merge(sketches[3])
-        right = sketches[0].merge(
-            sketches[1].merge(sketches[2].merge(sketches[3]))
+        docs = [_wire(float(i), float(i) / 2) for i in range(1, 5)]
+        left = _merge_wire(
+            _merge_wire(_merge_wire(docs[0], docs[1]), docs[2]), docs[3]
         )
-        assert left.count == right.count
-        assert left.sum == pytest.approx(right.sum)
-        assert left.max == right.max
-        assert sorted(left.samples) == sorted(right.samples)
+        right = _merge_wire(
+            docs[0], _merge_wire(docs[1], _merge_wire(docs[2], docs[3]))
+        )
+        assert left.pop("sum") == pytest.approx(right.pop("sum"))
+        assert left == right  # buckets, count, min, max: exact
 
     def test_merge_with_empty_is_identity(self):
-        a = HistogramSketch(count=3, sum=6.0, max=3.0, samples=[1, 2, 3])
-        for merged in (a.merge(HistogramSketch()), HistogramSketch().merge(a)):
-            assert merged.count == a.count
-            assert merged.samples == a.samples
-
-    def test_thin_is_deterministic_and_bounded(self):
-        values = [float(i) for i in range(1000)]
-        thinned = _thin(values, DEFAULT_SKETCH_SAMPLES)
-        assert len(thinned) == DEFAULT_SKETCH_SAMPLES
-        assert thinned == _thin(values, DEFAULT_SKETCH_SAMPLES)
-        assert thinned[0] == 0.0 and thinned[-1] == 999.0
+        a = _wire(1, 2, 3)
+        for merged in (_merge_wire(a, _wire()), _merge_wire(_wire(), a)):
+            assert merged == a
 
     def test_percentile_accuracy_after_thinning(self):
+        """Merging chunk histograms loses nothing: the quantiles equal
+        the single-stream histogram's, within 2^-7 of nearest rank."""
         values = [float(i) for i in range(10_000)]
-        sketch = HistogramSketch(
-            count=len(values), sum=sum(values), max=values[-1],
-            samples=_thin(values, DEFAULT_SKETCH_SAMPLES),
-        )
-        # Even-stride thinning keeps quantiles of a sorted stream exact
-        # to within one stride (10000/256 ≈ 39 ranks ≈ 0.4%).
-        assert sketch.percentile(50) == pytest.approx(5000, rel=0.02)
-        assert sketch.percentile(95) == pytest.approx(9500, rel=0.02)
+        doc = _wire()
+        for start in range(0, len(values), 256):
+            doc = _merge_wire(doc, _wire(*values[start:start + 256]))
+        merged = Histogram.from_wire(doc)
+        assert merged.count == len(values)
+        assert merged.p50 == pytest.approx(4999, rel=2**-7)
+        assert merged.p95 == pytest.approx(9499, rel=2**-7)
+        assert doc["buckets"] == _wire(*values)["buckets"]
 
 
 class TestCaptureApply:
@@ -157,6 +158,10 @@ class TestCaptureApply:
             )
             assert via_merge.histograms[name].sum == pytest.approx(
                 via_seq.histograms[name].sum
+            )
+            assert (
+                via_merge.histograms[name].stats()
+                == via_seq.histograms[name].stats()
             )
 
     def test_funnel_absorb_adds_exactly(self):

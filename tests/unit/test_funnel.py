@@ -85,17 +85,16 @@ class TestExplainRecorder:
         assert stats.margins.max == pytest.approx(1.5)
 
     def test_margin_reservoir_is_capped(self):
-        ex = ExplainRecorder(max_margin_samples=8)
+        """Margin memory is bounded by the value range, not the event
+        count: 1000 distinct margins share 506 buckets."""
+        ex = ExplainRecorder()
         for i in range(1000):
             ex.prune("p", "r", margin=float(i))
         stats = ex.phase("p").rules["r"]
         assert stats.pruned == 1000
         assert stats.margins.count == 1000
-        assert len(stats.margins.values) == 8
-
-    def test_invalid_sample_cap_rejected(self):
-        with pytest.raises(ValueError):
-            ExplainRecorder(max_margin_samples=0)
+        assert len(stats.margins.to_wire()["buckets"]) == 506
+        assert stats.margins.max == 999.0
 
     def test_clear(self):
         ex = ExplainRecorder()
@@ -264,6 +263,6 @@ class TestExplainToJson:
 
 class TestRuleStats:
     def test_margin_summary_absent_without_samples(self):
-        stats = RuleStats("r", max_margin_samples=4)
+        stats = RuleStats("r")
         stats.pruned = 3
         assert stats.as_dict() == {"pruned": 3}

@@ -9,7 +9,7 @@ import threading
 
 import pytest
 
-from repro.obs import Histogram, MetricsRegistry, RollingHistogram
+from repro.obs import Histogram, MetricsRegistry
 from repro.obs.exporters import (
     _prom_label_value,
     _prom_name,
@@ -89,16 +89,16 @@ class TestConcurrentObserve:
         for idx in range(THREADS):
             assert registry.counter(f"worker.{idx}.queries") == PER_THREAD
         assert registry.histograms["query.cpu_time_sec"].count == total
-        window = registry.windows["http.request_seconds"]
+        window = registry.windows["http.request_seconds"].stats()
         assert window.total_count == total
         assert window.total_sum == pytest.approx(total * 0.002)
 
     def test_rolling_histogram_concurrent_totals(self):
-        hist = RollingHistogram(window_sec=3600.0)
+        hist = Histogram(window_sec=3600.0)
         _hammer(lambda idx: [
             hist.observe(1.0) for _ in range(PER_THREAD)
         ])
-        stats = hist.snapshot()
+        stats = hist.stats()
         assert stats.total_count == THREADS * PER_THREAD
         assert stats.total_sum == pytest.approx(THREADS * PER_THREAD)
 

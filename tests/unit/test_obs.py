@@ -4,6 +4,7 @@ import dataclasses
 import inspect
 import io
 import json
+import math
 import threading
 import time
 
@@ -204,46 +205,42 @@ class TestHistogram:
             hist.percentile(101)
 
     def test_reservoir_bounds_memory_over_a_million_values(self):
-        """ISSUE guard: a million observations keep exact count/sum/max
-        while retaining at most the default 4096 reservoir samples."""
+        """A million observations keep exact count/sum/max in a bounded
+        number of buckets (the memory bound a sample reservoir used to
+        give)."""
         hist = Histogram()
         n = 1_000_000
         for v in range(n):
             hist.observe(v)
         assert hist.count == n
-        assert hist.sum == pytest.approx(n * (n - 1) / 2)
+        assert hist.sum == n * (n - 1) / 2  # integer sums are exact
         assert hist.max == n - 1
+        assert hist.min == 0
         assert hist.mean == pytest.approx((n - 1) / 2)
-        assert len(hist.values) == Histogram.DEFAULT_MAX_SAMPLES == 4096
-        # The uniform reservoir keeps percentile estimates sane: the
-        # median of ~uniform(0, n) sits well inside the middle band.
-        assert 0.4 * n < hist.p50 < 0.6 * n
-
-    def test_reservoir_cap_configurable(self):
-        hist = Histogram(max_samples=16)
-        for v in range(1000):
-            hist.observe(v)
-        assert len(hist.values) == 16
-        assert hist.count == 1000
-        assert hist.max == 999
+        assert len(hist.to_wire()["buckets"]) == 1781  # 1780 for 1..999999, plus zero
+        # Nearest rank is 500000; buckets report within 2^-7 below it.
+        assert 500_000 * (1 - 2**-7) < hist.p50 <= 500_000
 
     def test_below_cap_percentiles_exact(self):
-        hist = Histogram(max_samples=512)
+        hist = Histogram()
         for v in range(1, 101):
             hist.observe(v)
-        assert hist.p50 == 50  # reservoir holds every value: exact
+        assert hist.p50 == 50  # integers below 256 have their own bucket
         assert hist.p95 == 95
 
-    def test_invalid_cap_rejected(self):
-        with pytest.raises(ValueError):
-            Histogram(max_samples=0)
-
     def test_reservoir_is_deterministic(self):
-        a, b = Histogram(max_samples=32), Histogram(max_samples=32)
+        a, b = Histogram(), Histogram()
         for v in range(10_000):
-            a.observe(v)
-            b.observe(v)
-        assert a.values == b.values  # seeded RNG: reproducible runs
+            a.observe(v * 0.37)
+            b.observe(v * 0.37)
+        assert a.to_wire() == b.to_wire()  # no RNG: reproducible runs
+
+    def test_rejects_negative_and_non_finite_values(self):
+        hist = Histogram()
+        for bad in (-1.0, -1e-300, math.inf, math.nan):
+            with pytest.raises(ValueError):
+                hist.observe(bad)
+        assert hist.count == 0
 
 
 class TestMetricsRegistry:
@@ -546,11 +543,9 @@ class TestMetricsSnapshot:
         assert "gpssn_http_request_seconds_window_seconds 300" in text
 
     def test_window_counts_stay_monotone_in_exposition(self):
-        from repro.obs import RollingHistogram
-
         clock_now = [0.0]
         registry = MetricsRegistry()
-        registry.windows["w"] = RollingHistogram(
+        registry.windows["w"] = Histogram(
             window_sec=1.0, clock=lambda: clock_now[0]
         )
         for _ in range(3):

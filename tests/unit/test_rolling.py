@@ -1,8 +1,8 @@
-"""Unit tests for the rolling-window histogram (daemon latency stats)."""
+"""Unit tests for the windowed histogram (daemon latency stats)."""
 
 import pytest
 
-from repro.obs.rolling import RollingHistogram, WindowStats
+from repro.obs.histogram import Histogram, HistogramStats
 
 
 class FakeClock:
@@ -15,7 +15,7 @@ class FakeClock:
 
 class TestRollingWindow:
     def test_empty_snapshot_is_zero(self):
-        stats = RollingHistogram().snapshot()
+        stats = Histogram(window_sec=300.0).stats()
         assert stats.count == 0
         assert stats.p50 == 0.0
         assert stats.p99 == 0.0
@@ -24,12 +24,12 @@ class TestRollingWindow:
 
     def test_percentiles_over_recent_values_only(self):
         clock = FakeClock()
-        hist = RollingHistogram(window_sec=10.0, clock=clock)
+        hist = Histogram(window_sec=10.0, clock=clock)
         hist.observe(100.0)  # will age out
         clock.now = 20.0
         for v in (1.0, 2.0, 3.0, 4.0):
             hist.observe(v)
-        stats = hist.snapshot()
+        stats = hist.stats()
         assert stats.count == 4
         assert stats.max == 4.0  # the 100.0 left the window
         assert stats.p50 == 2.0
@@ -37,11 +37,11 @@ class TestRollingWindow:
 
     def test_totals_stay_monotone_across_pruning(self):
         clock = FakeClock()
-        hist = RollingHistogram(window_sec=5.0, clock=clock)
+        hist = Histogram(window_sec=5.0, clock=clock)
         for i in range(10):
             hist.observe(1.0)
             clock.now += 2.0
-        stats = hist.snapshot()
+        stats = hist.stats()
         # Window keeps only the recent observations ...
         assert stats.count < 10
         # ... but the lifetime totals (the Prometheus _count/_sum) never
@@ -49,20 +49,8 @@ class TestRollingWindow:
         assert stats.total_count == 10
         assert stats.total_sum == pytest.approx(10.0)
 
-    def test_max_samples_bounds_memory(self):
-        clock = FakeClock()
-        hist = RollingHistogram(window_sec=1e9, max_samples=8, clock=clock)
-        for i in range(100):
-            hist.observe(float(i))
-        stats = hist.snapshot()
-        assert stats.count == 8
-        assert stats.total_count == 100
-        # The retained points are the most recent ones.
-        assert stats.max == 99.0
-        assert stats.p50 >= 92.0
-
     def test_window_stats_mean(self):
-        stats = WindowStats(
+        stats = HistogramStats(
             window_sec=60.0, count=4, sum=8.0, p50=2.0, p95=2.0, p99=2.0,
             max=2.0, total_count=4, total_sum=8.0,
         )
@@ -70,6 +58,6 @@ class TestRollingWindow:
 
     def test_rejects_bad_construction(self):
         with pytest.raises(ValueError):
-            RollingHistogram(window_sec=0.0)
+            Histogram(window_sec=0.0)
         with pytest.raises(ValueError):
-            RollingHistogram(max_samples=0)
+            Histogram(window_sec=-1.0)
